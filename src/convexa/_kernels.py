@@ -1,9 +1,11 @@
 """Hot numeric kernels: BFS, geodesic hull closure, Brandes accumulation.
 
-Each kernel has a plain-numpy implementation and, when numba is available
-and not disabled, an @njit-compiled counterpart.  Set CONVEXA_NUMBA=0 to
-force the numpy path.  Both paths produce identical results (all logic is
-integer/boolean; float accumulation order is fixed).
+The loop kernels (`_*_loop`) run as plain Python on the numpy backend and
+are @njit-compiled when numba is available and not disabled; set
+CONVEXA_NUMBA=0 to force the numpy backend.  All-pairs BFS has a
+vectorised numpy path instead of the plain loop.  `hull_close` is a single
+numpy/BLAS kernel on both backends.  Both backends produce identical
+results (all logic is integer/boolean; float accumulation order is fixed).
 """
 
 import os
@@ -63,44 +65,6 @@ def _bfs_all_loop(indptr, indices, n):
                     queue[tail] = w
                     tail += 1
     return D
-
-
-def _hull_close_loop(D, members, new_nodes):
-    # Closes `members` (bool, modified in place) under geodesic betweenness,
-    # assuming it was already closed before `new_nodes` were added.
-    n = D.shape[0]
-    mem_list = np.empty(n, np.int32)
-    k = 0
-    for i in range(n):
-        if members[i]:
-            mem_list[k] = i
-            k += 1
-    stack = np.empty(n, np.int32)
-    top = 0
-    for j in range(new_nodes.shape[0]):
-        x = new_nodes[j]
-        if not members[x]:
-            members[x] = True
-            mem_list[k] = x
-            k += 1
-        stack[top] = x
-        top += 1
-    while top > 0:
-        top -= 1
-        u = stack[top]
-        i = 0
-        while i < k:
-            v = mem_list[i]
-            i += 1
-            duv = D[u, v]
-            for w in range(n):
-                if not members[w] and D[u, w] + D[w, v] == duv:
-                    members[w] = True
-                    mem_list[k] = w
-                    k += 1
-                    stack[top] = w
-                    top += 1
-    return members
 
 
 def _brandes_node_loop(indptr, indices, n):
@@ -251,41 +215,65 @@ def _bfs_all_numpy(indptr, indices, n):
     return D
 
 
-def _bfs_one_numpy(indptr, indices, n, source):
-    return _bfs_all_numpy(indptr, indices, n)[source].copy()
+# ---------------------------------------------------------------------------
+# geodesic hull closure: one numpy/BLAS kernel on both backends
+
+def _on_geodesics_direct(D, new, mem):
+    # w lies on a geodesic between some (u in new, v in mem); a
+    # (|new|, |mem|, n) tensor
+    lhs = D[new][:, None, :] + D[mem][None, :, :]
+    rhs = D[np.ix_(new, mem)][:, :, None]
+    return (lhs == rhs).any(axis=(0, 1))
 
 
-def _hull_close_numpy(D, members, new_nodes):
-    new_nodes = np.asarray(new_nodes)
-    members[new_nodes] = True
-    pending = list(new_nodes)
-    while pending:
+def _on_geodesics_sweep(D, A, new, members):
+    # w lies on a u-v geodesic for some member v iff w is an ancestor of a
+    # member in u's BFS DAG: sweep every u's layers from the deepest member
+    # up, marking the parents of marked nodes.  Layer 0 is u itself, a
+    # member, so the sweep stops at layer 1.  The 0/1 float32 products are
+    # exact (sums of at most n < 2**24 ones).
+    Dn = D[new]
+    on = np.repeat(members[None, :], len(new), axis=0)
+    for d in range(int(Dn[:, members].max()), 1, -1):
+        parents = (on & (Dn == d)).astype(np.float32) @ A > 0
+        on |= parents & (Dn == d - 1)
+    return on.any(axis=0)
+
+
+def hull_close(D, A, members, new_nodes):
+    """Close `members` (bool, modified in place) under geodesic betweenness.
+
+    `members` must already be closed before `new_nodes` were added; `D` is
+    the all-pairs distance matrix of a connected graph and `A` its dense
+    0/1 float32 adjacency.  Each round tests the pushed batch against the
+    members directly when the |new| x |members| x n tensor has at most n^2
+    elements, and otherwise sweeps the batch's BFS DAGs, so memory stays
+    O(n^2).
+    """
+    n = D.shape[0]
+    new = np.asarray(new_nodes, dtype=np.intp)
+    members[new] = True
+    while new.size and not members.all():
         mem = np.flatnonzero(members)
-        new = np.asarray(pending, dtype=np.intp)
-        pending = []
-        # node w lies on a geodesic between some (u in new, v in members)
-        lhs = D[new][:, None, :] + D[mem][None, :, :]          # (a, b, n)
-        rhs = D[np.ix_(new, mem)][:, :, None]                  # (a, b, 1)
-        on_path = (lhs == rhs).any(axis=(0, 1))
-        add = np.flatnonzero(on_path & ~members)
-        if add.size:
-            members[add] = True
-            pending = list(add)
+        if new.size * mem.size <= n:
+            on = _on_geodesics_direct(D, new, mem)
+        else:
+            on = _on_geodesics_sweep(D, A, new, members)
+        new = np.flatnonzero(on & ~members)
+        members[new] = True
     return members
 
 
 if _want_numba:
     bfs_one = njit(cache=True)(_bfs_one_loop)
     bfs_all = njit(cache=True)(_bfs_all_loop)
-    hull_close = njit(cache=True)(_hull_close_loop)
     brandes_node = njit(cache=True)(_brandes_node_loop)
     brandes_edge = njit(cache=True)(_brandes_edge_loop)
     common_neighbors = njit(cache=True)(_common_neighbors_loop)
     local_weight_sums = njit(cache=True)(_local_weight_sums_loop)
 else:
-    bfs_one = _bfs_one_numpy
+    bfs_one = _bfs_one_loop
     bfs_all = _bfs_all_numpy
-    hull_close = _hull_close_numpy
     brandes_node = _brandes_node_loop
     brandes_edge = _brandes_edge_loop
     common_neighbors = _common_neighbors_loop

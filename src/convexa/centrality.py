@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ConvexaError
 from .graph import Graph
 
 
@@ -104,7 +104,7 @@ def closeness(g: Graph) -> CentralityVector:
 def top_k(vec: CentralityVector, k: int):
     """k highest-valued (node, value) pairs, ties by smallest identifier."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ConvexaError(f"top-k needs a positive k, got {k}")
     ranked = sorted(vec.values.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]
 

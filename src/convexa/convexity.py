@@ -52,7 +52,7 @@ def convex_hull(g: Graph, node_set) -> frozenset:
     members = _member_mask(g, node_set)
     seeds = np.flatnonzero(members).astype(np.int32)
     members[:] = False
-    _kernels.hull_close(g.dist_matrix, members, seeds)
+    _kernels.hull_close(g.dist_matrix, g.adjacency, members, seeds)
     return frozenset(g.ids[i] for i in np.flatnonzero(members))
 
 
@@ -66,11 +66,12 @@ def expansion_run(g: Graph, rng) -> list:
     _require_connected(g)
     n = g.n
     D = g.dist_matrix
+    A = g.adjacency
     eu = g.edge_idx[:, 0]
     ev = g.edge_idx[:, 1]
     members = np.zeros(n, dtype=bool)
     start = int(rng.integers(n))
-    _kernels.hull_close(D, members, np.array([start], np.int32))
+    _kernels.hull_close(D, A, members, np.array([start], np.int32))
     sizes = [int(members.sum())]
     while len(sizes) < n:
         if members.all():
@@ -79,7 +80,7 @@ def expansion_run(g: Graph, rng) -> list:
         cut = np.flatnonzero(members[eu] ^ members[ev])
         e = cut[int(rng.integers(len(cut)))]
         new = int(ev[e]) if members[eu[e]] else int(eu[e])
-        _kernels.hull_close(D, members, np.array([new], np.int32))
+        _kernels.hull_close(D, A, members, np.array([new], np.int32))
         sizes.append(int(members.sum()))
     return sizes
 

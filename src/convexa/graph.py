@@ -87,6 +87,14 @@ class Graph:
         return _kernels.bfs_all(indptr, indices, self.n)
 
     @cached_property
+    def adjacency(self):
+        """Dense 0/1 adjacency, float32 (the hull-closure sweep's BLAS operand)."""
+        A = np.zeros((self.n, self.n), np.float32)
+        A[self.edge_idx[:, 0], self.edge_idx[:, 1]] = 1
+        A[self.edge_idx[:, 1], self.edge_idx[:, 0]] = 1
+        return A
+
+    @cached_property
     def total_weight(self):
         return float(self.weights.sum())
 

@@ -70,6 +70,47 @@ def convex_hull_oracle(g, node_set):
         current |= added
 
 
+def hull_close_loop(D, members, new_nodes):
+    """Reference hull closure: test every (pushed node, member, w) triple.
+
+    Closes `members` (bool, modified in place) under geodesic betweenness,
+    assuming it was already closed before `new_nodes` were added.
+    """
+    n = D.shape[0]
+    mem_list = np.empty(n, np.int32)
+    k = 0
+    for i in range(n):
+        if members[i]:
+            mem_list[k] = i
+            k += 1
+    stack = np.empty(n, np.int32)
+    top = 0
+    for j in range(new_nodes.shape[0]):
+        x = new_nodes[j]
+        if not members[x]:
+            members[x] = True
+            mem_list[k] = x
+            k += 1
+        stack[top] = x
+        top += 1
+    while top > 0:
+        top -= 1
+        u = stack[top]
+        i = 0
+        while i < k:
+            v = mem_list[i]
+            i += 1
+            duv = D[u, v]
+            for w in range(n):
+                if not members[w] and D[u, w] + D[w, v] == duv:
+                    members[w] = True
+                    mem_list[k] = w
+                    k += 1
+                    stack[top] = w
+                    top += 1
+    return members
+
+
 def betweenness_oracle(g):
     """Node betweenness by explicit geodesic enumeration (unordered pairs)."""
     score = {v: 0.0 for v in g.ids}
@@ -163,4 +204,18 @@ def random_graph(rng, n, p, connected=False, weighted=False):
                         records.append((labels[i], labels[j]))
         g = build_graph(records, isolated_nodes=labels)
         if not connected or is_connected(g):
+            return g
+
+
+def random_gnm(rng, n, m):
+    """Seeded connected uniform random graph G(n, m), redrawn until connected."""
+    from convexa import build_graph
+    from convexa.graph import is_connected
+
+    labels = [f"v{i:03d}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    while True:
+        pick = rng.choice(len(pairs), size=m, replace=False)
+        g = build_graph([(labels[pairs[k][0]], labels[pairs[k][1]]) for k in pick])
+        if g.n == n and is_connected(g):
             return g

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexa import (
+    ConvexaError,
     build_graph,
     betweenness,
     closeness,
@@ -131,3 +132,5 @@ def test_top_k_rules():
     assert len(top_k(deg, 99)) == 4  # k > n returns all
     full = top_k(deg, 4)
     assert [n for n, _ in full] == ["c", "l1", "l2", "l3"]
+    with pytest.raises(ConvexaError):
+        top_k(deg, 0)

@@ -117,6 +117,15 @@ def test_rank_limits_rows(workdir):
     assert len(lines) <= 21
 
 
+def test_rank_top_zero_exit_3(workdir):
+    out = workdir / "rank0.csv"
+    r = run("rank", "--input", str(workdir / "toc.tsv"), "--measure", "degree",
+            "--top", "0", "--output", str(out))
+    assert r.returncode == 3
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_centrality_all_measures(workdir):
     out = workdir / "cent.csv"
     r = run("centrality", "--input", str(workdir / "tree.tsv"), "--output", str(out))

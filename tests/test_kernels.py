@@ -1,7 +1,11 @@
-"""Numba and numpy kernel paths must agree exactly."""
+"""Kernels must agree exactly with their loop references and oracles."""
+
+import itertools
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
+import convexa as cx
 from convexa import _kernels
 from convexa._kernels import (
     _bfs_all_loop,
@@ -9,10 +13,10 @@ from convexa._kernels import (
     _brandes_edge_loop,
     _brandes_node_loop,
     _common_neighbors_loop,
-    _hull_close_loop,
-    _hull_close_numpy,
+    _on_geodesics_direct,
+    _on_geodesics_sweep,
 )
-from oracles import random_graph
+from oracles import convex_hull_oracle, hull_close_loop, random_gnm, random_graph
 
 
 def _graphs():
@@ -30,20 +34,66 @@ def test_bfs_all_backends_agree():
         assert np.array_equal(g.dist_matrix, a)
 
 
-def test_hull_close_backends_agree():
-    for g, rng in _graphs():
-        D = g.dist_matrix
-        if (D < 0).any():
-            continue
-        seeds = rng.choice(g.n, size=min(3, g.n), replace=False).astype(np.int32)
-        a = np.zeros(g.n, dtype=bool)
-        b = np.zeros(g.n, dtype=bool)
-        _hull_close_loop(D, a, seeds)
-        _hull_close_numpy(D, b, seeds)
-        assert np.array_equal(a, b)
-        got = np.zeros(g.n, dtype=bool)
-        _kernels.hull_close(D, got, seeds)
-        assert np.array_equal(got, a)
+@st.composite
+def connected_graphs(draw):
+    """Paths and random trees (deep BFS layers), dense ER graphs (explosive
+    batches) and cliques."""
+    kind = draw(st.sampled_from(["path", "tree", "dense_er", "clique"]))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = [f"v{i:03d}" for i in range(n)]
+    if kind == "dense_er":
+        return random_graph(rng, n, draw(st.floats(0.3, 0.8)), connected=True)
+    if kind == "path":
+        pairs = [(i - 1, i) for i in range(1, n)]
+    elif kind == "tree":
+        pairs = [(int(rng.integers(i)), i) for i in range(1, n)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+    return cx.build_graph([(labels[u], labels[v]) for u, v in pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.data())
+def test_hull_close_matches_loop_and_oracle(g, data):
+    seeds = np.array(
+        data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True)),
+        np.int32,
+    )
+    got = _kernels.hull_close(g.dist_matrix, g.adjacency, np.zeros(g.n, dtype=bool), seeds)
+    ref = hull_close_loop(g.dist_matrix, np.zeros(g.n, dtype=bool), seeds)
+    assert np.array_equal(got, ref)
+    if g.n <= 12:
+        oracle = convex_hull_oracle(g, {g.ids[i] for i in seeds})
+        assert {g.ids[i] for i in np.flatnonzero(got)} == oracle
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.data())
+def test_geodesic_tests_agree(g, data):
+    # both branches of hull_close answer the same question for any batch
+    # `new` inside any member set, whichever of them the sizes would pick
+    nodes = st.integers(0, g.n - 1)
+    mem = sorted(data.draw(st.lists(nodes, min_size=1, max_size=g.n, unique=True)))
+    new = np.array(data.draw(st.lists(st.sampled_from(mem), min_size=1, unique=True)), np.intp)
+    members = np.zeros(g.n, dtype=bool)
+    members[mem] = True
+    D = g.dist_matrix
+    direct = _on_geodesics_direct(D, new, np.array(mem, np.intp))
+    sweep = _on_geodesics_sweep(D, g.adjacency, new, members)
+    assert np.array_equal(direct, sweep)
+
+
+def test_convexity_profile_matches_loop_reference(monkeypatch):
+    g = random_gnm(np.random.default_rng(60), 60, 240)
+    kernel = cx.convexity(g, runs=8, seed=5)
+    monkeypatch.setattr(
+        _kernels, "hull_close",
+        lambda D, A, members, new_nodes: hull_close_loop(D, members, new_nodes),
+    )
+    loop = cx.convexity(g, runs=8, seed=5)
+    assert np.array_equal(kernel.profile.s, loop.profile.s)
+    assert kernel.x == loop.x
 
 
 def test_brandes_kernels_match_active_backend():

@@ -1,10 +1,11 @@
 """Hot numeric kernels: BFS, geodesic hull closure, Brandes accumulation.
 
-The loop kernels (`_*_loop`) run as plain Python on the numpy backend and
-are @njit-compiled when numba is available and not disabled; set
-CONVEXA_NUMBA=0 to force the numpy backend.  All-pairs BFS has a
-vectorised numpy path instead of the plain loop.  `hull_close` is a single
-numpy/BLAS kernel on both backends.  Both backends produce identical
+`hull_close` and `brandes` are single numpy kernels on both backends.  The
+remaining loop kernels (`_*_loop`: single-source BFS, common neighbours,
+local weight sums) run as plain Python on the numpy backend and are
+@njit-compiled when numba is available and not disabled; set
+CONVEXA_NUMBA=0 to force the numpy backend.  All-pairs BFS has a BLAS
+numpy path instead of the plain loop.  Both backends produce identical
 results (all logic is integer/boolean; float accumulation order is fixed).
 """
 
@@ -67,83 +68,6 @@ def _bfs_all_loop(indptr, indices, n):
     return D
 
 
-def _brandes_node_loop(indptr, indices, n):
-    cb = np.zeros(n)
-    sigma = np.zeros(n)
-    dist = np.empty(n, np.int32)
-    delta = np.zeros(n)
-    order = np.empty(n, np.int32)
-    for s in range(n):
-        dist[:] = -1
-        sigma[:] = 0.0
-        delta[:] = 0.0
-        dist[s] = 0
-        sigma[s] = 1.0
-        order[0] = s
-        head, tail = 0, 1
-        while head < tail:
-            v = order[head]
-            head += 1
-            dv = dist[v]
-            for k in range(indptr[v], indptr[v + 1]):
-                w = indices[k]
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    order[tail] = w
-                    tail += 1
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
-        for i in range(tail - 1, 0, -1):
-            w = order[i]
-            coeff = (1.0 + delta[w]) / sigma[w]
-            dw = dist[w]
-            for k in range(indptr[w], indptr[w + 1]):
-                v = indices[k]
-                if dist[v] == dw - 1:
-                    delta[v] += sigma[v] * coeff
-            cb[w] += delta[w]
-    return cb * 0.5  # unordered pairs
-
-
-def _brandes_edge_loop(indptr, indices, edge_id, n, m):
-    ce = np.zeros(m)
-    sigma = np.zeros(n)
-    dist = np.empty(n, np.int32)
-    delta = np.zeros(n)
-    order = np.empty(n, np.int32)
-    for s in range(n):
-        dist[:] = -1
-        sigma[:] = 0.0
-        delta[:] = 0.0
-        dist[s] = 0
-        sigma[s] = 1.0
-        order[0] = s
-        head, tail = 0, 1
-        while head < tail:
-            v = order[head]
-            head += 1
-            dv = dist[v]
-            for k in range(indptr[v], indptr[v + 1]):
-                w = indices[k]
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    order[tail] = w
-                    tail += 1
-                if dist[w] == dv + 1:
-                    sigma[w] += sigma[v]
-        for i in range(tail - 1, 0, -1):
-            w = order[i]
-            coeff = (1.0 + delta[w]) / sigma[w]
-            dw = dist[w]
-            for k in range(indptr[w], indptr[w + 1]):
-                v = indices[k]
-                if dist[v] == dw - 1:
-                    c = sigma[v] * coeff
-                    ce[edge_id[k]] += c
-                    delta[v] += c
-    return ce * 0.5
-
-
 def _common_neighbors_loop(indptr, indices, eu, ev):
     # indices must be sorted within each node's slice
     m = eu.shape[0]
@@ -199,20 +123,111 @@ def _local_weight_sums_loop(indptr, indices, inv_pairs, eu, ev):
 # numpy-vectorized fallbacks for the kernels where plain loops would crawl
 
 def _bfs_all_numpy(indptr, indices, n):
-    A = np.zeros((n, n), dtype=bool)
+    # float32 products run on BLAS (bool matmul does not) and stay exact:
+    # sums of at most n < 2**24 ones
+    A = np.zeros((n, n), np.float32)
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    A[rows, indices] = True
+    A[rows, indices] = 1
     D = np.full((n, n), -1, np.int32)
     frontier = np.eye(n, dtype=bool)
     visited = frontier.copy()
     d = 0
     while frontier.any():
         D[frontier] = d
-        nxt = (frontier @ A) & ~visited
+        nxt = (frontier.astype(np.float32) @ A > 0) & ~visited
         visited |= nxt
         frontier = nxt
         d += 1
     return D
+
+
+# ---------------------------------------------------------------------------
+# Brandes accumulation: one numpy kernel on both backends
+
+#: element budget of one source block: k sources cost about k * (n + 2m)
+#: elements (distances, path counts, dependencies, edge terms, frontier arcs)
+BRANDES_BLOCK_ELEMENTS = 2**16
+
+
+def _arcs(indptr, nodes):
+    """CSR positions of every arc leaving `nodes`, in order, and the index
+    into `nodes` that each arc leaves."""
+    cnt = indptr[nodes + 1] - indptr[nodes]
+    owner = np.repeat(np.arange(nodes.size), cnt)
+    offset = np.repeat(indptr[nodes] - (np.cumsum(cnt) - cnt), cnt)
+    return np.arange(owner.size) + offset, owner
+
+
+def _brandes_block(indptr, indices, edge_id, n, m, sources):
+    # state of k BFS runs flattened to keys r*n + v (source row r, node v);
+    # each layer holds its keys by source, then in that source's queue order
+    k = sources.size
+    rows = np.arange(k)
+    dist = np.full(k * n, -1, np.int32)
+    sigma = np.zeros(k * n)
+    layer = rows * n + sources
+    dist[layer] = 0
+    sigma[layer] = 1.0
+    layers = [layer]
+    while True:
+        w = layer % n
+        pos, owner = _arcs(indptr, w)
+        child = (layer - w)[owner] + indices[pos]
+        fresh = child[dist[child] < 0]
+        if not fresh.size:
+            break
+        # queue order is the order of first discovery
+        keys, first = np.unique(fresh, return_index=True)
+        d = len(layers)
+        layer = keys[np.argsort(first)]
+        dist[layer] = d
+        # path counts are sums of parents in queue order, as in the loop
+        on = dist[child] == d
+        sigma += np.bincount(child[on], weights=sigma[layers[-1][owner[on]]], minlength=k * n)
+        layers.append(layer)
+    delta = np.zeros(k * n)
+    edge = np.zeros(k * m)
+    for d in range(len(layers) - 1, 0, -1):
+        # children in descending queue order, so each dependency sums its
+        # terms in the loop's order
+        layer = layers[d][::-1]
+        coeff = (1.0 + delta[layer]) / sigma[layer]
+        pos, owner = _arcs(indptr, layer % n)
+        row = (layer // n)[owner]
+        parent = row * n + indices[pos]
+        on = dist[parent] == d - 1
+        parent, pos, owner, row = parent[on], pos[on], owner[on], row[on]
+        term = sigma[parent] * coeff[owner]
+        delta += np.bincount(parent, weights=term, minlength=k * n)
+        edge[row * m + edge_id[pos]] = term
+    # a source's own dependency is not betweenness
+    delta[rows * n + sources] = 0.0
+    return delta.reshape(k, n), edge.reshape(k, m)
+
+
+def brandes(indptr, indices, edge_id, n, m):
+    """Exact Brandes betweenness of every node and every edge in one pass.
+
+    Unordered pairs, per component, unnormalised.  Sources run in blocks of
+    k with k * (n + 2m) <= BRANDES_BLOCK_ELEMENTS (at least one), each block
+    one BFS and one dependency sweep layer by layer, so memory is O(n + m)
+    plus a constant.  Path counts are exact integers and every float sum
+    keeps the order of the one-source-at-a-time loop: the results are
+    bit-identical to it.
+    """
+    node = np.zeros(n)
+    edge = np.zeros(m)
+    if n == 0:
+        return node, edge
+    k = max(1, BRANDES_BLOCK_ELEMENTS // (n + 2 * m))
+    for start in range(0, n, k):
+        sources = np.arange(start, min(start + k, n))
+        delta, terms = _brandes_block(indptr, indices, edge_id, n, m, sources)
+        # per-source terms are added in source order, as in the loop
+        for r in range(sources.size):
+            node += delta[r]
+            edge += terms[r]
+    return node * 0.5, edge * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +282,10 @@ def hull_close(D, A, members, new_nodes):
 if _want_numba:
     bfs_one = njit(cache=True)(_bfs_one_loop)
     bfs_all = njit(cache=True)(_bfs_all_loop)
-    brandes_node = njit(cache=True)(_brandes_node_loop)
-    brandes_edge = njit(cache=True)(_brandes_edge_loop)
     common_neighbors = njit(cache=True)(_common_neighbors_loop)
     local_weight_sums = njit(cache=True)(_local_weight_sums_loop)
 else:
     bfs_one = _bfs_one_loop
     bfs_all = _bfs_all_numpy
-    brandes_node = _brandes_node_loop
-    brandes_edge = _brandes_edge_loop
     common_neighbors = _common_neighbors_loop
     local_weight_sums = _local_weight_sums_loop

@@ -63,8 +63,7 @@ def maximum_spanning_tree(
 
 def edge_betweenness(g: Graph) -> dict:
     """Exact geodesic betweenness per edge, unordered pairs, per component."""
-    indptr, indices, edge_id = g.csr
-    scores = _kernels.brandes_edge(indptr, indices, edge_id, g.n, g.m)
+    scores = g.brandes[1]
     return {g.edge_ids(e): float(scores[e]) for e in range(g.m)}
 
 

@@ -10,9 +10,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import _kernels
 from .errors import ConvergenceError, ConvexaError
 from .graph import Graph
 
@@ -47,20 +45,16 @@ def pagerank(
         return CentralityVector(Measure.PAGERANK, {}, {"damping": damping})
     deg = g.degrees.astype(np.float64)
     dangling = deg == 0
-    if g.m:
-        eu, ev = g.edge_idx[:, 0], g.edge_idx[:, 1]
-        A = sp.csr_matrix(
-            (np.ones(2 * g.m), (np.concatenate([eu, ev]), np.concatenate([ev, eu]))),
-            shape=(n, n),
-        )
-    else:
-        A = sp.csr_matrix((n, n))
+    # A @ x as a sum over each node's neighbours in CSR order
+    indptr, indices, _ = g.csr
+    heads = np.repeat(np.arange(n), np.diff(indptr))
     p = np.full(n, 1.0 / n)
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     residual = None
     for _ in range(max_iter):
         spread = p * inv_deg
-        new = (1.0 - damping) / n + damping * (A @ spread + p[dangling].sum() / n)
+        pulled = np.bincount(heads, weights=spread[indices], minlength=n)
+        new = (1.0 - damping) / n + damping * (pulled + p[dangling].sum() / n)
         residual = float(np.abs(new - p).sum())
         p = new
         if residual < tol:
@@ -77,8 +71,7 @@ def pagerank(
 
 def betweenness(g: Graph) -> CentralityVector:
     """Exact Brandes betweenness, unnormalized, unordered pairs, per component."""
-    indptr, indices, _ = g.csr
-    vals = _kernels.brandes_node(indptr, indices, g.n)
+    vals = g.brandes[0]
     return CentralityVector(
         Measure.BETWEENNESS, {g.ids[i]: float(vals[i]) for i in range(g.n)}
     )

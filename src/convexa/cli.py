@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 I/O, 3 precondition violation, 4 numerical failure.
 """
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -38,7 +39,7 @@ from .coauthor import (
 from .convexity import convexity
 from .errors import ConvergenceError, ConvexaError, DisconnectedError, InputError
 from .graph import read_edge_tsv, write_edge_tsv
-from .netstats import MEASURES, correlation_matrix, descriptive_stats
+from .netstats import MEASURES, centrality_values, correlation_matrix, descriptive_stats
 from .skeleton import (
     Objective,
     SkeletonResult,
@@ -73,6 +74,14 @@ def fmt(x):
     if isinstance(x, float):
         return repr(x) if x != int(x) else str(int(x))
     return str(x)
+
+
+def csv_text(rows):
+    """CSV text, one "\n"-terminated line per row; a field is quoted only
+    when it holds a comma, a double quote or a newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def atomic_write(path, text):
@@ -131,15 +140,15 @@ def cmd_convexity(args):
     g = _load_graph(args.input)
     seed = _resolve_seed(args)
     score = convexity(g, runs=args.runs, seed=seed)
-    lines = ["t,s_t"]
+    rows = [["t", "s_t"]]
     for t, s in enumerate(score.profile.s):
-        lines.append(f"{t},{fmt(float(s))}")
+        rows.append([t, fmt(float(s))])
     config = {"input": args.input, "runs": args.runs, "seed": seed, "x": score.x}
     emit(
         args,
         "convexity",
         config,
-        "\n".join(lines) + "\n",
+        csv_text(rows),
         {
             "x": score.x,
             "runs": args.runs,
@@ -177,11 +186,11 @@ def cmd_skeleton(args):
         "weight_fraction": wf,
         "skeleton_stats": _stats_dict(stats),
     }
-    removal_rows = ["step,u,v,objective"]
+    removal_rows = [["step", "u", "v", "objective"]]
     for i, ((u, v), val) in enumerate(sk.removed, 1):
-        removal_rows.append(f"{i},{u},{v},{fmt(val)}")
+        removal_rows.append([i, u, v, fmt(val)])
     if args.removal_log:
-        atomic_write(args.removal_log, "\n".join(removal_rows) + "\n")
+        atomic_write(args.removal_log, csv_text(removal_rows))
     emit(
         args,
         "skeleton",
@@ -305,13 +314,11 @@ def cmd_compare(args):
         columns[name] = descriptive_stats(
             backbone_graph(g, b), convexity_runs=args.runs, seed=seed
         )
-    header = "statistic," + ",".join(columns)
-    lines = [header]
+    rows = [["statistic", *columns]]
     for row in _STAT_ROWS:
-        cells = [fmt(getattr(columns[c], row)) for c in columns]
-        lines.append(f"{row}," + ",".join(cells))
+        rows.append([row] + [fmt(getattr(columns[c], row)) for c in columns])
     stats_path = os.path.join(args.output_dir, "stats.csv")
-    atomic_write(stats_path, "\n".join(lines) + "\n")
+    atomic_write(stats_path, csv_text(rows))
     config = {
         "input": args.input,
         "backbones": kinds,
@@ -321,17 +328,18 @@ def cmd_compare(args):
         "tie_break": args.tie_break,
     }
     write_meta(stats_path, "compare", config)
+    full = centrality_values(g) if backbones else None
     for name, b in backbones.items():
-        grid = correlation_matrix(g, b)
-        rows = ["row_measure,col_measure,rho,tau"]
+        grid = correlation_matrix(g, b, full)
+        rows = [["row_measure", "col_measure", "rho", "tau"]]
         for row in grid:
             for cell in row:
                 rows.append(
-                    f"{cell.row_measure.value},{cell.col_measure.value},"
-                    f"{fmt(cell.rho)},{fmt(cell.tau)}"
+                    [cell.row_measure.value, cell.col_measure.value,
+                     fmt(cell.rho), fmt(cell.tau)]
                 )
         path = os.path.join(args.output_dir, f"corr_{name}.csv")
-        atomic_write(path, "\n".join(rows) + "\n")
+        atomic_write(path, csv_text(rows))
         write_meta(path, "compare", config)
     print(f"compare: wrote stats.csv and {len(backbones)} correlation file(s) to {args.output_dir}")
     return 0
@@ -345,16 +353,15 @@ def cmd_centrality(args):
         else [_MEASURE_BY_NAME[args.measure]]
     )
     vecs = {m: compute(g, m) for m in measures}
-    header = "node," + ",".join(m.value for m in measures)
-    lines = [header]
+    rows = [["node"] + [m.value for m in measures]]
     for node in g.ids:
-        lines.append(node + "," + ",".join(fmt(vecs[m].values[node]) for m in measures))
+        rows.append([node] + [fmt(vecs[m].values[node]) for m in measures])
     config = {"input": args.input, "measure": args.measure}
     emit(
         args,
         "centrality",
         config,
-        "\n".join(lines) + "\n",
+        csv_text(rows),
         {m.value: vecs[m].values for m in measures},
     )
     return 0
@@ -364,15 +371,15 @@ def cmd_rank(args):
     g = _load_graph(args.input)
     vec = compute(g, _MEASURE_BY_NAME[args.measure])
     ranked = top_k(vec, args.top)
-    lines = ["rank,node,value"]
+    rows = [["rank", "node", "value"]]
     for i, (node, value) in enumerate(ranked, 1):
-        lines.append(f"{i},{node},{fmt(value)}")
+        rows.append([i, node, fmt(value)])
     config = {"input": args.input, "measure": args.measure, "top": args.top}
     emit(
         args,
         "rank",
         config,
-        "\n".join(lines) + "\n",
+        csv_text(rows),
         {"measure": args.measure, "ranking": [[n, v] for n, v in ranked]},
     )
     return 0
@@ -453,19 +460,18 @@ def cmd_distributions(args):
     )
     rep = distribution_report(g, sk, expr, authors, binning)
     numeric = binning.width is not None
-    lines = (
-        ["bin_low,bin_high,skeleton_weight,remainder_weight"]
+    rows = [
+        ["bin_low", "bin_high", "skeleton_weight", "remainder_weight"]
         if numeric
-        else ["category,skeleton_weight,remainder_weight"]
-    )
+        else ["category", "skeleton_weight", "remainder_weight"]
+    ]
     for label, sw, rw in zip(rep.bins, rep.skeleton_weight, rep.remainder_weight):
         if numeric:
-            lines.append(f"{fmt(label[0])},{fmt(label[1])},{fmt(sw)},{fmt(rw)}")
+            rows.append([fmt(label[0]), fmt(label[1]), fmt(sw), fmt(rw)])
         else:
-            lines.append(f"{label},{fmt(sw)},{fmt(rw)}")
+            rows.append([label, fmt(sw), fmt(rw)])
     if rep.missing_skeleton or rep.missing_remainder:
-        prefix = "MISSING,," if numeric else "MISSING,"
-        lines.append(prefix.rstrip(",") + f",{fmt(rep.missing_skeleton)},{fmt(rep.missing_remainder)}")
+        rows.append(["MISSING", fmt(rep.missing_skeleton), fmt(rep.missing_remainder)])
     config = {
         "input": args.input,
         "expr": str(expr),
@@ -476,7 +482,7 @@ def cmd_distributions(args):
         args,
         "distributions",
         config,
-        "\n".join(lines) + "\n",
+        csv_text(rows),
         {
             "expr": str(expr),
             "bins": [list(b) if isinstance(b, tuple) else b for b in rep.bins],
@@ -516,11 +522,11 @@ def cmd_stats(args):
     g = _load_graph(args.input)
     seed = _resolve_seed(args)
     s = descriptive_stats(g, convexity_runs=args.runs, seed=seed)
-    lines = ["statistic,value"]
+    rows = [["statistic", "value"]]
     for row in _STAT_ROWS:
-        lines.append(f"{row},{fmt(getattr(s, row))}")
+        rows.append([row, fmt(getattr(s, row))])
     config = {"input": args.input, "runs": args.runs, "seed": seed}
-    emit(args, "stats", config, "\n".join(lines) + "\n", _stats_dict(s))
+    emit(args, "stats", config, csv_text(rows), _stats_dict(s))
     return 0
 
 

@@ -87,6 +87,12 @@ class Graph:
         return _kernels.bfs_all(indptr, indices, self.n)
 
     @cached_property
+    def brandes(self):
+        """(node, edge) exact betweenness arrays, from one Brandes pass."""
+        indptr, indices, edge_id = self.csr
+        return _kernels.brandes(indptr, indices, edge_id, self.n, self.m)
+
+    @cached_property
     def adjacency(self):
         """Dense 0/1 adjacency, float32 (the hull-closure sweep's BLAS operand)."""
         A = np.zeros((self.n, self.n), np.float32)
@@ -313,7 +319,14 @@ def format_weight(w):
 
 
 def write_edge_tsv(g, fh, flags=None, flag_name="in_backbone"):
-    """Write `u\tv\tweight` lines; with `flags` adds a 0/1 membership column."""
+    """Write `u\tv\tweight` lines; with `flags` adds a 0/1 membership column.
+
+    Raises InputError, before writing anything, for an endpoint id that
+    holds a tab or a line break: the file could not be read back.
+    """
+    for i in np.unique(g.edge_idx):
+        if any(c in g.ids[i] for c in "\t\n\r"):
+            raise InputError(f"node id {g.ids[i]!r} holds a tab or a line break")
     if flags is not None:
         fh.write(f"# u\tv\tweight\t{flag_name}\n")
     for e in range(g.m):

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import _kernels
 from .backbones import Backbone, backbone_graph
@@ -151,6 +150,18 @@ def _paired_arrays(x: dict, y: dict):
     )
 
 
+def average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of `a`, each tie group given the mean of its ranks."""
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
+    ends = np.r_[starts[1:], a.size]
+    group = np.repeat(np.arange(starts.size), ends - starts)
+    ranks = np.empty(a.size)
+    ranks[order] = ((starts + 1 + ends) / 2.0)[group]
+    return ranks
+
+
 def spearman_rho(x: dict, y: dict) -> float:
     """Pearson correlation of average ranks (mean ranks for ties).
 
@@ -160,7 +171,7 @@ def spearman_rho(x: dict, y: dict) -> float:
     a, b = _paired_arrays(x, y)
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise ConvexaError("rank correlation undefined: zero rank variance")
-    ra, rb = rankdata(a), rankdata(b)
+    ra, rb = average_ranks(a), average_ranks(b)
     n = len(a)
     if len(np.unique(a)) == n and len(np.unique(b)) == n:
         d2 = int(((ra - rb).astype(np.int64) ** 2).sum())
@@ -185,13 +196,23 @@ def kendall_tau(x: dict, y: dict) -> float:
     return (concordant - discordant) / math.sqrt((n0 - tied_a) * (n0 - tied_b))
 
 
-def correlation_matrix(g: Graph, b: Backbone):
-    """4x4 grid: rows = measures on the full graph, columns = on the backbone."""
+def centrality_values(g: Graph) -> dict:
+    """Measure -> {node: value} for each of the four measures."""
+    return {m: compute(g, m).values for m in MEASURES}
+
+
+def correlation_matrix(g: Graph, b: Backbone, row_vecs: Optional[dict] = None):
+    """4x4 grid: rows = measures on the full graph, columns = on the backbone.
+
+    `row_vecs`, `centrality_values(g)` when omitted, saves recomputing the
+    rows when one graph is compared with several backbones.
+    """
     sub = backbone_graph(g, b)
     if tuple(sub.ids) != tuple(g.ids):
         raise InputError("backbone node universe must equal the graph's")
-    row_vecs = {m: compute(g, m).values for m in MEASURES}
-    col_vecs = {m: compute(sub, m).values for m in MEASURES}
+    if row_vecs is None:
+        row_vecs = centrality_values(g)
+    col_vecs = centrality_values(sub)
     grid = []
     for rm in MEASURES:
         row = []

@@ -111,6 +111,49 @@ def hull_close_loop(D, members, new_nodes):
     return members
 
 
+def brandes_loop(indptr, indices, edge_id, n, m):
+    """Reference Brandes accumulation: one BFS per source, node and edge
+    betweenness together (unordered pairs, per component)."""
+    cb = np.zeros(n)
+    ce = np.zeros(m)
+    sigma = np.zeros(n)
+    dist = np.empty(n, np.int32)
+    delta = np.zeros(n)
+    order = np.empty(n, np.int32)
+    for s in range(n):
+        dist[:] = -1
+        sigma[:] = 0.0
+        delta[:] = 0.0
+        dist[s] = 0
+        sigma[s] = 1.0
+        order[0] = s
+        head, tail = 0, 1
+        while head < tail:
+            v = order[head]
+            head += 1
+            dv = dist[v]
+            for k in range(indptr[v], indptr[v + 1]):
+                w = indices[k]
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    order[tail] = w
+                    tail += 1
+                if dist[w] == dv + 1:
+                    sigma[w] += sigma[v]
+        for i in range(tail - 1, 0, -1):
+            w = order[i]
+            coeff = (1.0 + delta[w]) / sigma[w]
+            dw = dist[w]
+            for k in range(indptr[w], indptr[w + 1]):
+                v = indices[k]
+                if dist[v] == dw - 1:
+                    c = sigma[v] * coeff
+                    ce[edge_id[k]] += c
+                    delta[v] += c
+            cb[w] += delta[w]
+    return cb * 0.5, ce * 0.5
+
+
 def betweenness_oracle(g):
     """Node betweenness by explicit geodesic enumeration (unordered pairs)."""
     score = {v: 0.0 for v in g.ids}

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -133,6 +134,29 @@ def test_centrality_all_measures(workdir):
     lines = out.read_text().splitlines()
     assert lines[0] == "node,degree,pagerank,betweenness,closeness"
     assert len(lines) == 5
+
+
+def test_centrality_quotes_ids_with_commas(workdir):
+    (workdir / "comma.tsv").write_text('a,b\tc\nc\td\nd\t"q"\n')
+    out = workdir / "cent_comma.csv"
+    r = run("centrality", "--input", str(workdir / "comma.tsv"), "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    text = out.read_text()
+    rows = list(csv.reader(text.splitlines()))
+    assert [row[0] for row in rows] == ["node", "\"q\"", "a,b", "c", "d"]
+    assert all(len(row) == 5 for row in rows)
+    # plain ids stay unquoted
+    assert "\nc,2,0." in text and "\nd,2,0." in text
+
+
+def test_buildnet_rejects_tab_in_author_id(workdir):
+    papers = workdir / "papers_tab.csv"
+    papers.write_text('paper_id,author_id\np1,"x\ty"\np1,z\n')
+    out = workdir / "net_tab.tsv"
+    r = run("buildnet", "--papers", str(papers), "--output", str(out))
+    assert r.returncode == 3
+    assert "tab or a line break" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_buildnet_fractional_toy(workdir):

@@ -1,6 +1,7 @@
 """Kernels must agree exactly with their loop references and oracles."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -10,13 +11,17 @@ from convexa import _kernels
 from convexa._kernels import (
     _bfs_all_loop,
     _bfs_all_numpy,
-    _brandes_edge_loop,
-    _brandes_node_loop,
     _common_neighbors_loop,
     _on_geodesics_direct,
     _on_geodesics_sweep,
 )
-from oracles import convex_hull_oracle, hull_close_loop, random_gnm, random_graph
+from oracles import (
+    brandes_loop,
+    convex_hull_oracle,
+    hull_close_loop,
+    random_gnm,
+    random_graph,
+)
 
 
 def _graphs():
@@ -26,7 +31,10 @@ def _graphs():
 
 
 def test_bfs_all_backends_agree():
-    for g, _ in _graphs():
+    # two components plus an isolated node
+    split = cx.build_graph([("a", "b"), ("b", "c"), ("d", "e")], isolated_nodes=["f"])
+    assert split.dist_matrix[0, 3] == -1
+    for g in [split] + [g for g, _ in _graphs()]:
         indptr, indices, _ = g.csr
         a = _bfs_all_loop(indptr, indices, g.n)
         b = _bfs_all_numpy(indptr, indices, g.n)
@@ -96,15 +104,50 @@ def test_convexity_profile_matches_loop_reference(monkeypatch):
     assert kernel.x == loop.x
 
 
+def _assert_brandes_matches_loop(g):
+    indptr, indices, edge_id = g.csr
+    node, edge = _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
+    ref_node, ref_edge = brandes_loop(indptr, indices, edge_id, g.n, g.m)
+    assert np.array_equal(node, ref_node)
+    assert np.array_equal(edge, ref_edge)
+
+
 def test_brandes_kernels_match_active_backend():
     for g, _ in _graphs():
-        indptr, indices, edge_id = g.csr
-        node_plain = _brandes_node_loop(indptr, indices, g.n)
-        node_active = _kernels.brandes_node(indptr, indices, g.n)
-        assert np.allclose(node_plain, node_active, atol=1e-12)
-        edge_plain = _brandes_edge_loop(indptr, indices, edge_id, g.n, g.m)
-        edge_active = _kernels.brandes_edge(indptr, indices, edge_id, g.n, g.m)
-        assert np.allclose(edge_plain, edge_active, atol=1e-12)
+        _assert_brandes_matches_loop(g)
+
+
+@st.composite
+def brandes_graphs(draw):
+    """Paths and random trees (deep layers, many sources per block), sparse
+    random graphs (disconnected, with isolated nodes), a single node and
+    edgeless graphs."""
+    kind = draw(st.sampled_from(["path", "tree", "random", "single", "edgeless"]))
+    n = 1 if kind == "single" else draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = [f"v{i:03d}" for i in range(n)]
+    if kind == "random":
+        return random_graph(rng, n, draw(st.floats(0.02, 0.5)))
+    if kind == "path":
+        pairs = [(i - 1, i) for i in range(1, n)]
+    elif kind == "tree":
+        pairs = [(int(rng.integers(i)), i) for i in range(1, n)]
+    else:
+        pairs = []
+    return cx.build_graph([(labels[u], labels[v]) for u, v in pairs], isolated_nodes=labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brandes_graphs(), st.sampled_from([1, 2, 3, None]))
+def test_brandes_matches_loop_bit_for_bit(g, per_block):
+    # per_block sources per block (None: the default budget), so that the
+    # sources run in many blocks, one at a time, or in one block
+    budget = (
+        _kernels.BRANDES_BLOCK_ELEMENTS if per_block is None
+        else per_block * (g.n + 2 * g.m)
+    )
+    with mock.patch.object(_kernels, "BRANDES_BLOCK_ELEMENTS", budget):
+        _assert_brandes_matches_loop(g)
 
 
 def test_common_neighbors_matches_sets():

@@ -18,6 +18,7 @@ from convexa import (
     maximum_spanning_tree,
     spearman_rho,
 )
+from convexa.netstats import average_ranks
 from oracles import random_graph
 
 C4 = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
@@ -101,6 +102,16 @@ def test_spearman_fixtures():
     assert spearman_rho(x, rev) == -1.0
     y = {1: 1.0, 2: 3.0, 3: 2.0, 4: 4.0}
     assert spearman_rho(x, y) == 0.8
+
+
+def test_average_ranks_match_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        size = int(rng.integers(1, 30))
+        a = rng.integers(0, int(rng.integers(1, 12)), size=size) * 0.5
+        assert np.array_equal(average_ranks(a), stats.rankdata(a))
+    assert average_ranks(np.array([2.0, 1.0, 2.0, 3.0])).tolist() == [2.5, 1.0, 2.5, 4.0]
 
 
 def test_kendall_fixtures():

@@ -1,12 +1,12 @@
 """Hot numeric kernels: BFS, geodesic hull closure, Brandes accumulation.
 
 `hull_close` and `brandes` are single numpy kernels on both backends.  The
-remaining loop kernels (`_*_loop`: single-source BFS, common neighbours,
-local weight sums) run as plain Python on the numpy backend and are
-@njit-compiled when numba is available and not disabled; set
-CONVEXA_NUMBA=0 to force the numpy backend.  All-pairs BFS has a BLAS
-numpy path instead of the plain loop.  Both backends produce identical
-results (all logic is integer/boolean; float accumulation order is fixed).
+remaining loop kernels (`_*_loop`: single-source BFS, common neighbours)
+run as plain Python on the numpy backend and are @njit-compiled when
+numba is available and not disabled; set CONVEXA_NUMBA=0 to force the
+numpy backend.  All-pairs BFS has a BLAS numpy path instead of the plain
+loop.  Both backends produce identical results (all logic is
+integer/boolean; float accumulation order is fixed).
 """
 
 import os
@@ -90,32 +90,6 @@ def _common_neighbors_loop(indptr, indices, eu, ev):
             else:
                 j += 1
         out[e] = c
-    return out
-
-
-def _local_weight_sums_loop(indptr, indices, inv_pairs, eu, ev):
-    # For each edge (u,v): sum of inv_pairs[w] over common neighbors w,
-    # where inv_pairs[w] = 1/C(deg_w, 2) (0 for deg < 2).
-    m = eu.shape[0]
-    out = np.zeros(m)
-    for e in range(m):
-        i = indptr[eu[e]]
-        iend = indptr[eu[e] + 1]
-        j = indptr[ev[e]]
-        jend = indptr[ev[e] + 1]
-        acc = 0.0
-        while i < iend and j < jend:
-            a = indices[i]
-            b = indices[j]
-            if a == b:
-                acc += inv_pairs[a]
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        out[e] = acc
     return out
 
 
@@ -283,9 +257,7 @@ if _want_numba:
     bfs_one = njit(cache=True)(_bfs_one_loop)
     bfs_all = njit(cache=True)(_bfs_all_loop)
     common_neighbors = njit(cache=True)(_common_neighbors_loop)
-    local_weight_sums = njit(cache=True)(_local_weight_sums_loop)
 else:
     bfs_one = _bfs_one_loop
     bfs_all = _bfs_all_numpy
     common_neighbors = _common_neighbors_loop
-    local_weight_sums = _local_weight_sums_loop

@@ -471,7 +471,8 @@ def cmd_distributions(args):
         else:
             rows.append([label, fmt(sw), fmt(rw)])
     if rep.missing_skeleton or rep.missing_remainder:
-        rows.append(["MISSING", fmt(rep.missing_skeleton), fmt(rep.missing_remainder)])
+        label = ["MISSING", ""] if numeric else ["MISSING"]
+        rows.append([*label, fmt(rep.missing_skeleton), fmt(rep.missing_remainder)])
     config = {
         "input": args.input,
         "expr": str(expr),

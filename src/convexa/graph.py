@@ -101,6 +101,11 @@ class Graph:
         return A
 
     @cached_property
+    def connected(self):
+        """True iff the graph has at most one node or one component."""
+        return self.n <= 1 or len(np.unique(component_labels(self))) == 1
+
+    @cached_property
     def total_weight(self):
         return float(self.weights.sum())
 
@@ -212,7 +217,7 @@ def component_labels(g):
 
 
 def is_connected(g):
-    return g.n <= 1 or len(np.unique(component_labels(g))) == 1
+    return g.connected
 
 
 def biconnected_edge_blocks(n, edge_idx):
@@ -322,11 +327,14 @@ def write_edge_tsv(g, fh, flags=None, flag_name="in_backbone"):
     """Write `u\tv\tweight` lines; with `flags` adds a 0/1 membership column.
 
     Raises InputError, before writing anything, for an endpoint id that
-    holds a tab or a line break: the file could not be read back.
+    holds a tab or a line break, or that starts with `#` (a comment line to
+    `read_edge_tsv`): the file could not be read back.
     """
     for i in np.unique(g.edge_idx):
         if any(c in g.ids[i] for c in "\t\n\r"):
             raise InputError(f"node id {g.ids[i]!r} holds a tab or a line break")
+        if g.ids[i].lstrip().startswith("#"):
+            raise InputError(f"node id {g.ids[i]!r} starts with '#', which marks a comment")
     if flags is not None:
         fh.write(f"# u\tv\tweight\t{flag_name}\n")
     for e in range(g.m):

@@ -30,8 +30,8 @@ class StatsRecord:
 class CorrelationCell:
     row_measure: Measure
     col_measure: Measure
-    rho: float
-    tau: float
+    rho: Optional[float]  # None when undefined (a constant measure)
+    tau: Optional[float]
 
 
 MEASURES = (Measure.DEGREE, Measure.PAGERANK, Measure.BETWEENNESS, Measure.CLOSENESS)
@@ -204,6 +204,8 @@ def centrality_values(g: Graph) -> dict:
 def correlation_matrix(g: Graph, b: Backbone, row_vecs: Optional[dict] = None):
     """4x4 grid: rows = measures on the full graph, columns = on the backbone.
 
+    A cell whose row or column measure is constant has rho = tau = None.
+
     `row_vecs`, `centrality_values(g)` when omitted, saves recomputing the
     rows when one graph is compared with several backbones.
     """
@@ -217,13 +219,16 @@ def correlation_matrix(g: Graph, b: Backbone, row_vecs: Optional[dict] = None):
     for rm in MEASURES:
         row = []
         for cm in MEASURES:
-            row.append(
-                CorrelationCell(
-                    rm,
-                    cm,
-                    rho=spearman_rho(row_vecs[rm], col_vecs[cm]),
-                    tau=kendall_tau(row_vecs[rm], col_vecs[cm]),
-                )
-            )
+            x, y = row_vecs[rm], col_vecs[cm]
+            if _constant(x) or _constant(y):
+                # zero rank variance: neither correlation is defined
+                rho = tau = None
+            else:
+                rho, tau = spearman_rho(x, y), kendall_tau(x, y)
+            row.append(CorrelationCell(rm, cm, rho=rho, tau=tau))
         grid.append(row)
     return grid
+
+
+def _constant(values: dict) -> bool:
+    return len(set(values.values())) < 2

@@ -5,6 +5,14 @@ whose hypothetical removal maximizes the chosen clustering objective
 (ties broken lexicographically by default).  The loop stops as soon as
 every biconnected block is a clique; a spanning tree is always reachable,
 so termination is guaranteed.
+
+The loop is incremental.  Removing (u, v) changes common-neighbour counts
+only on the edges (u, w) and (v, w) with w in N(u) & N(v), and can split
+only the block that held (u, v); so an iteration updates O(deg) counts,
+tests that one block (re-decomposing it only when the test cannot show it
+is still biconnected) and rebuilds both objective vectors with numpy
+expressions over the node and edge arrays.  The values, and hence the
+removal log, are bit-identical to evaluating every live graph from scratch.
 """
 
 from dataclasses import dataclass
@@ -13,8 +21,9 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
+from ._kernels import _arcs
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, biconnected_edge_blocks, build_csr, is_connected
+from .graph import Graph, biconnected_edge_blocks, is_connected
 
 
 class Objective(Enum):
@@ -35,63 +44,177 @@ class SkeletonResult:
     source_m: int  # edge count of the graph the skeleton was extracted from
 
 
-def _blocks_info(n, edge_idx, alive_pos):
-    """Bridges among alive edges and whether every block is a clique."""
-    sub = edge_idx[alive_pos]
-    blocks = biconnected_edge_blocks(n, sub)
-    bridge = set()
-    all_cliques = True
-    for blk in blocks:
-        if len(blk) == 1:
-            bridge.add(int(alive_pos[blk[0]]))
-            continue
-        nodes = set()
-        for e in blk:
-            nodes.add(int(sub[e, 0]))
-            nodes.add(int(sub[e, 1]))
-        k = len(nodes)
-        if len(blk) != k * (k - 1) // 2:
-            all_cliques = False
-    return bridge, all_cliques
-
-
-def _objective_after_removal(n, edge_idx, alive_pos, objective):
-    """Objective value of the graph after removing each alive edge."""
-    sub = edge_idx[alive_pos]
-    indptr, indices, _ = build_csr(n, sub)
-    deg = np.bincount(sub.ravel(), minlength=n).astype(np.int64)
-    eu = sub[:, 0].astype(np.int32)
-    ev = sub[:, 1].astype(np.int32)
-    cn = _kernels.common_neighbors(indptr, indices, eu, ev)
-    if objective is Objective.GLOBAL_TRANSITIVITY:
-        tri3 = int(cn.sum())  # 3 * number of triangles
-        triples = int((deg * (deg - 1) // 2).sum())
-        new_tri3 = tri3 - 3 * cn
-        new_triples = triples - (deg[eu] - 1) - (deg[ev] - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(new_triples > 0, new_tri3 / new_triples, 0.0)
-        return vals
-    # AVERAGE_LOCAL: mean over all nodes of 2*t_x / (d_x (d_x - 1))
+def _inv_pairs(deg):
+    """1 / C(deg, 2) per node, 0 where deg < 2."""
     pairs = deg * (deg - 1) / 2.0
-    inv_pairs = np.where(pairs > 0, 1.0 / np.where(pairs > 0, pairs, 1.0), 0.0)
-    tri_node = np.zeros(n)  # triangles incident to each node
-    np.add.at(tri_node, eu, cn)
-    np.add.at(tri_node, ev, cn)
-    tri_node /= 2.0
-    local = tri_node * inv_pairs
-    total = local.sum()
-    # removing (u,v): u and v lose cn triangles and one degree; each common
-    # neighbor w loses one triangle
-    w_loss = _kernels.local_weight_sums(indptr, indices, inv_pairs, eu, ev)
-    du, dv = deg[eu], deg[ev]
-    tu = tri_node[eu] - cn
-    tv = tri_node[ev] - cn
-    denom_u = np.maximum((du - 1) * (du - 2) / 2.0, 1.0)
-    denom_v = np.maximum((dv - 1) * (dv - 2) / 2.0, 1.0)
-    new_u = np.where(du - 1 >= 2, tu / denom_u, 0.0)
-    new_v = np.where(dv - 1 >= 2, tv / denom_v, 0.0)
-    vals = total - local[eu] - local[ev] - w_loss + new_u + new_v
-    return vals / n
+    return np.where(pairs > 0, 1.0 / np.where(pairs > 0, pairs, 1.0), 0.0)
+
+
+class _LiveGraph:
+    """The shrinking graph of the greedy loop, kept across iterations.
+
+    Per node: degree and a {neighbour: edge position} dict.  Per edge:
+    alive flag, common-neighbour count (0 once dead), block label, bridge
+    flag and, for AVERAGE_LOCAL, the sum of 1 / C(deg_w, 2) over its common
+    neighbours w.  Per block: its live edge positions, and the set of
+    blocks that are not cliques.  Memory is O(n + m).
+    """
+
+    def __init__(self, g, objective):
+        n, m = g.n, g.m
+        self.n = n
+        self.objective = objective
+        self.csr = g.csr
+        self.edge_idx = g.edge_idx
+        self.eu = g.edge_idx[:, 0].astype(np.int64)
+        self.ev = g.edge_idx[:, 1].astype(np.int64)
+        self.nbr = [{} for _ in range(n)]
+        for e, (u, v) in enumerate(g.edge_idx.tolist()):
+            self.nbr[u][v] = e
+            self.nbr[v][u] = e
+        self.alive = np.ones(m, dtype=bool)
+        self.deg = g.degrees.copy()
+        indptr, indices, _ = self.csr
+        self.cn = _kernels.common_neighbors(
+            indptr, indices, self.eu.astype(np.int32), self.ev.astype(np.int32)
+        )
+        self.w_loss = None
+        if objective is Objective.AVERAGE_LOCAL:
+            inv = _inv_pairs(self.deg).tolist()
+            self.w_loss = np.array([self._weight_sum(e, inv) for e in range(m)], float)
+        self.block = np.zeros(m, dtype=np.int64)
+        self.bridge = np.zeros(m, dtype=bool)
+        self.members = {}
+        self.nonclique = set()
+        self._next_label = 0
+        self._decompose(np.arange(m))
+
+    def _weight_sum(self, e, inv):
+        # summed in ascending w, the order of a merge over sorted CSR rows
+        a, b = self.nbr[self.eu[e]], self.nbr[self.ev[e]]
+        acc = 0.0
+        for w in sorted(a.keys() & b.keys()):
+            acc += inv[w]
+        return acc
+
+    def _decompose(self, edges):
+        """Label the blocks of the live `edges`, which span one old block."""
+        # renumber the block's nodes 0..k-1: the Python decomposition is then
+        # O(block), not O(n)
+        ends = self.edge_idx[edges]
+        seen = np.zeros(self.n, dtype=bool)
+        seen[ends] = True
+        local = (np.cumsum(seen) - 1)[ends]
+        for blk in biconnected_edge_blocks(int(seen.sum()), local):
+            pos = edges[blk]
+            label = self._next_label
+            self._next_label += 1
+            self.block[pos] = label
+            self.members[label] = pos
+            self.bridge[pos] = len(pos) == 1
+            k = len(set(local[blk].ravel().tolist()))
+            if len(pos) != k * (k - 1) // 2:
+                self.nonclique.add(label)
+
+    def objective_after_removal(self):
+        """Objective value after removing each edge; -inf on dead edges and
+        bridges.  The expressions and their order are those of evaluating
+        each live graph from scratch, so the values are bit-identical."""
+        deg, cn, eu, ev = self.deg, self.cn, self.eu, self.ev
+        if self.objective is Objective.GLOBAL_TRANSITIVITY:
+            tri3 = int(cn.sum())  # 3 * number of triangles
+            triples = int((deg * (deg - 1) // 2).sum())
+            new_tri3 = tri3 - 3 * cn
+            new_triples = triples - (deg[eu] - 1) - (deg[ev] - 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = np.where(new_triples > 0, new_tri3 / new_triples, 0.0)
+        else:
+            # AVERAGE_LOCAL: mean over all nodes of 2*t_x / (d_x (d_x - 1))
+            inv_pairs = _inv_pairs(deg)
+            # triangles at each node; integer-valued, so exact in any order
+            tri_node = (np.bincount(eu, cn, self.n) + np.bincount(ev, cn, self.n)) / 2.0
+            local = tri_node * inv_pairs
+            total = local.sum()
+            # removing (u,v): u and v lose cn triangles and one degree; each
+            # common neighbor w loses one triangle
+            du, dv = deg[eu], deg[ev]
+            tu = tri_node[eu] - cn
+            tv = tri_node[ev] - cn
+            denom_u = np.maximum((du - 1) * (du - 2) / 2.0, 1.0)
+            denom_v = np.maximum((dv - 1) * (dv - 2) / 2.0, 1.0)
+            new_u = np.where(du - 1 >= 2, tu / denom_u, 0.0)
+            new_v = np.where(dv - 1 >= 2, tv / denom_v, 0.0)
+            vals = (total - local[eu] - local[ev] - self.w_loss + new_u + new_v) / self.n
+        return np.where(self.alive & ~self.bridge, vals, -np.inf)
+
+    def remove(self, e):
+        """Delete the non-bridge edge e and update every count it affects."""
+        u, v = int(self.eu[e]), int(self.ev[e])
+        nu, nv = self.nbr[u], self.nbr[v]
+        del nu[v], nv[u]
+        common = nu.keys() & nv.keys()
+        self.alive[e] = False
+        self.cn[e] = 0
+        self.deg[u] -= 1
+        self.deg[v] -= 1
+        for w in common:
+            self.cn[nu[w]] -= 1
+            self.cn[nv[w]] -= 1
+        if self.w_loss is not None:
+            # sums change where v or u left the common neighbours, and where
+            # u or v, whose degrees fell, is a common neighbour
+            stale = {nu[w] for w in common} | {nv[w] for w in common}
+            for x in (nu, nv):
+                for a in x:
+                    na = self.nbr[a]
+                    stale.update(na[b] for b in na.keys() & x.keys() if a < b)
+            inv = _inv_pairs(self.deg).tolist()
+            for f in stale:
+                self.w_loss[f] = self._weight_sum(f, inv)
+        label = int(self.block[e])
+        edges = self.members[label]
+        if self._still_biconnected(u, v, label):
+            # same nodes, one edge fewer: not a clique
+            self.members[label] = edges[edges != e]
+            self.nonclique.add(label)
+        else:
+            del self.members[label]
+            self.nonclique.discard(label)
+            self._decompose(edges[edges != e])
+
+    def _still_biconnected(self, u, v, label):
+        """Sufficient test that block `label`, which just lost the edge
+        (u, v), is still biconnected: a shortest u-v path in it, and another
+        that avoids the first one's inner nodes.  Two such paths leave no cut
+        vertex, since a cut vertex of the block minus (u, v) would separate
+        u from v (adding (u, v) back makes the block biconnected again)."""
+        _, _, edge_id = self.csr
+        arc_ok = self.alive[edge_id] & (self.block[edge_id] == label)
+        parent = self._bfs_parents(u, v, arc_ok, [])
+        inner = []
+        x = parent[v]
+        while x != u:
+            inner.append(x)
+            x = parent[x]
+        return self._bfs_parents(u, v, arc_ok, inner)[v] >= 0
+
+    def _bfs_parents(self, source, target, arc_ok, blocked):
+        """BFS parents over the arcs in `arc_ok`, never entering `blocked`,
+        until `target` is reached; -1 where not reached."""
+        indptr, indices, _ = self.csr
+        parent = np.full(self.n, -1, dtype=np.int64)
+        parent[blocked] = self.n
+        parent[source] = source
+        frontier = np.array([source])
+        while frontier.size and parent[target] < 0:
+            pos, owner = _arcs(indptr, frontier)
+            keep = arc_ok[pos] & (parent[indices[pos]] < 0)
+            child, src = indices[pos[keep]], frontier[owner[keep]]
+            # a child reached from several frontier nodes keeps one of them
+            # as its parent, and enters the next frontier once
+            parent[child] = src
+            frontier = child[parent[child] == src]
+        return parent
 
 
 def extract_convex_skeleton(
@@ -103,27 +226,20 @@ def extract_convex_skeleton(
     if not is_connected(g):
         raise DisconnectedError("skeleton extraction requires a connected graph")
     rng = np.random.default_rng(seed) if tie_break is TieBreak.RANDOM else None
-    alive = np.ones(g.m, dtype=bool)
+    live = _LiveGraph(g, objective)
     removed = []
-    while True:
-        alive_pos = np.flatnonzero(alive)
-        bridge, all_cliques = _blocks_info(g.n, g.edge_idx, alive_pos)
-        if all_cliques:
-            break
-        vals = _objective_after_removal(g.n, g.edge_idx, alive_pos, objective)
-        removable = np.array([int(p) not in bridge for p in alive_pos])
-        vals = np.where(removable, vals, -np.inf)
+    while live.nonclique:
+        vals = live.objective_after_removal()
         best = vals.max()
         if rng is None:
-            pick = int(np.argmax(vals))  # first max = lexicographically smallest edge
+            pos = int(np.argmax(vals))  # first max = lexicographically smallest edge
         else:
             cands = np.flatnonzero(vals == best)
-            pick = int(cands[rng.integers(len(cands))])
-        pos = int(alive_pos[pick])
-        alive[pos] = False
+            pos = int(cands[rng.integers(len(cands))])
+        live.remove(pos)
         removed.append((g.edge_ids(pos), float(best)))
     return SkeletonResult(
-        kept=frozenset(int(p) for p in np.flatnonzero(alive)),
+        kept=frozenset(int(p) for p in np.flatnonzero(live.alive)),
         removed=tuple(removed),
         objective=objective,
         source_m=g.m,

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's algorithmic paths: shortest paths
 are enumerated explicitly, spanning trees exhaustively, eigenvectors via
-dense linear algebra.
+dense linear algebra.  The `*_loop` functions are the straightforward
+implementations that faster kernels replaced, kept as references that the
+kernels must match exactly.
 """
 
 import itertools
@@ -152,6 +154,126 @@ def brandes_loop(indptr, indices, edge_id, n, m):
                     delta[v] += c
             cb[w] += delta[w]
     return cb * 0.5, ce * 0.5
+
+
+def local_weight_sums_loop(indptr, indices, inv_pairs, eu, ev):
+    """For each edge (u,v): sum of inv_pairs[w] over common neighbors w, in
+    ascending w, where inv_pairs[w] = 1/C(deg_w, 2) (0 for deg < 2)."""
+    m = eu.shape[0]
+    out = np.zeros(m)
+    for e in range(m):
+        i = indptr[eu[e]]
+        iend = indptr[eu[e] + 1]
+        j = indptr[ev[e]]
+        jend = indptr[ev[e] + 1]
+        acc = 0.0
+        while i < iend and j < jend:
+            a = indices[i]
+            b = indices[j]
+            if a == b:
+                acc += inv_pairs[a]
+                i += 1
+                j += 1
+            elif a < b:
+                i += 1
+            else:
+                j += 1
+        out[e] = acc
+    return out
+
+
+def blocks_info(n, edge_idx, alive_pos):
+    """Bridges among alive edges and whether every block is a clique."""
+    from convexa.graph import biconnected_edge_blocks
+
+    sub = edge_idx[alive_pos]
+    blocks = biconnected_edge_blocks(n, sub)
+    bridge = set()
+    all_cliques = True
+    for blk in blocks:
+        if len(blk) == 1:
+            bridge.add(int(alive_pos[blk[0]]))
+            continue
+        nodes = set()
+        for e in blk:
+            nodes.add(int(sub[e, 0]))
+            nodes.add(int(sub[e, 1]))
+        k = len(nodes)
+        if len(blk) != k * (k - 1) // 2:
+            all_cliques = False
+    return bridge, all_cliques
+
+
+def objective_after_removal(n, edge_idx, alive_pos, objective):
+    """Objective value of the graph after removing each alive edge,
+    evaluated from scratch on the alive edges."""
+    from convexa import Objective, _kernels
+    from convexa.graph import build_csr
+
+    sub = edge_idx[alive_pos]
+    indptr, indices, _ = build_csr(n, sub)
+    deg = np.bincount(sub.ravel(), minlength=n).astype(np.int64)
+    eu = sub[:, 0].astype(np.int32)
+    ev = sub[:, 1].astype(np.int32)
+    cn = _kernels.common_neighbors(indptr, indices, eu, ev)
+    if objective is Objective.GLOBAL_TRANSITIVITY:
+        tri3 = int(cn.sum())  # 3 * number of triangles
+        triples = int((deg * (deg - 1) // 2).sum())
+        new_tri3 = tri3 - 3 * cn
+        new_triples = triples - (deg[eu] - 1) - (deg[ev] - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.where(new_triples > 0, new_tri3 / new_triples, 0.0)
+        return vals
+    # AVERAGE_LOCAL: mean over all nodes of 2*t_x / (d_x (d_x - 1))
+    pairs = deg * (deg - 1) / 2.0
+    inv_pairs = np.where(pairs > 0, 1.0 / np.where(pairs > 0, pairs, 1.0), 0.0)
+    tri_node = np.zeros(n)  # triangles incident to each node
+    np.add.at(tri_node, eu, cn)
+    np.add.at(tri_node, ev, cn)
+    tri_node /= 2.0
+    local = tri_node * inv_pairs
+    total = local.sum()
+    # removing (u,v): u and v lose cn triangles and one degree; each common
+    # neighbor w loses one triangle
+    w_loss = local_weight_sums_loop(indptr, indices, inv_pairs, eu, ev)
+    du, dv = deg[eu], deg[ev]
+    tu = tri_node[eu] - cn
+    tv = tri_node[ev] - cn
+    denom_u = np.maximum((du - 1) * (du - 2) / 2.0, 1.0)
+    denom_v = np.maximum((dv - 1) * (dv - 2) / 2.0, 1.0)
+    new_u = np.where(du - 1 >= 2, tu / denom_u, 0.0)
+    new_v = np.where(dv - 1 >= 2, tv / denom_v, 0.0)
+    vals = total - local[eu] - local[ev] - w_loss + new_u + new_v
+    return vals / n
+
+
+def skeleton_loop(g, objective, tie_break, seed=0):
+    """Reference skeleton extraction: every iteration rebuilds the CSR,
+    recounts common neighbours on every alive edge and decomposes the whole
+    graph into blocks.  Returns (kept edge positions, removal log)."""
+    from convexa import TieBreak
+
+    rng = np.random.default_rng(seed) if tie_break is TieBreak.RANDOM else None
+    alive = np.ones(g.m, dtype=bool)
+    removed = []
+    while True:
+        alive_pos = np.flatnonzero(alive)
+        bridge, all_cliques = blocks_info(g.n, g.edge_idx, alive_pos)
+        if all_cliques:
+            break
+        vals = objective_after_removal(g.n, g.edge_idx, alive_pos, objective)
+        removable = np.array([int(p) not in bridge for p in alive_pos])
+        vals = np.where(removable, vals, -np.inf)
+        best = vals.max()
+        if rng is None:
+            pick = int(np.argmax(vals))  # first max = lexicographically smallest edge
+        else:
+            cands = np.flatnonzero(vals == best)
+            pick = int(cands[rng.integers(len(cands))])
+        pos = int(alive_pos[pick])
+        alive[pos] = False
+        removed.append((g.edge_ids(pos), float(best)))
+    return frozenset(int(p) for p in np.flatnonzero(alive)), tuple(removed)
 
 
 def betweenness_oracle(g):

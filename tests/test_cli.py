@@ -108,6 +108,20 @@ def test_compare_correlation_diagonal(workdir):
             assert float(rho) == 1.0 and float(tau) == 1.0
 
 
+def test_compare_cycle_undefined_correlations_are_na(workdir):
+    # every centrality is constant on a cycle, so no rank correlation with
+    # the full network is defined
+    p = workdir / "c6.tsv"
+    p.write_text("a\tb\nb\tc\nc\td\nd\te\ne\tf\na\tf\n")
+    d = workdir / "cmp_c6"
+    r = run("compare", "--input", str(p), "--runs", "5", "--output-dir", str(d))
+    assert r.returncode == 0, r.stderr
+    for name in ("skeleton", "mst", "betweenness", "embeddedness"):
+        lines = (d / f"corr_{name}.csv").read_text().splitlines()
+        assert len(lines) == 17
+        assert all(line.endswith(",NA,NA") for line in lines[1:])
+
+
 def test_rank_limits_rows(workdir):
     out = workdir / "rank.csv"
     r = run("rank", "--input", str(workdir / "toc.tsv"), "--measure", "pagerank",
@@ -159,6 +173,16 @@ def test_buildnet_rejects_tab_in_author_id(workdir):
     assert not out.exists()
 
 
+def test_buildnet_rejects_comment_author_id(workdir):
+    papers = workdir / "papers_hash.csv"
+    papers.write_text("paper_id,author_id\np1,#x\np1,y\np2,y\np2,z\n")
+    out = workdir / "net_hash.tsv"
+    r = run("buildnet", "--papers", str(papers), "--output", str(out))
+    assert r.returncode == 3
+    assert "'#x'" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_buildnet_fractional_toy(workdir):
     out = workdir / "net.tsv"
     r = run("buildnet", "--papers", str(workdir / "papers.csv"),
@@ -192,6 +216,21 @@ def test_distributions_pipeline(workdir):
             "--output", str(out))
     assert r.returncode == 0, r.stderr
     assert out.read_text().startswith("bin_low,bin_high,skeleton_weight,remainder_weight")
+
+
+def test_distributions_binned_missing_row_fills_bin_columns(workdir):
+    (workdir / "path4.tsv").write_text("a\tb\nb\tc\nc\td\n")
+    authors = workdir / "authors_gap.csv"
+    authors.write_text("author_id,birth_year\na,1960\nb,1980\nc,\nd,1990\n")
+    out = workdir / "dist_gap.csv"
+    r = run("distributions", "--input", str(workdir / "path4.tsv"),
+            "--authors", str(authors), "--expr", "ABS_DIFF(birth_year)",
+            "--bin-width", "10", "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["bin_low", "bin_high", "skeleton_weight", "remainder_weight"]
+    assert rows[-1] == ["MISSING", "", "2", "0"]
+    assert all(len(row) == 4 for row in rows)
 
 
 def test_distributions_same_category(workdir):

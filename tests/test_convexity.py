@@ -1,7 +1,9 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexa import (
     DisconnectedError,
@@ -13,6 +15,8 @@ from convexa import (
     is_convex,
     is_tree_of_cliques,
 )
+from convexa import graph as graph_module
+from convexa.synth import GeneratorSpec, Kind, generate
 from oracles import convex_hull_oracle, is_convex_oracle, random_graph
 
 PATH3 = [("a", "b"), ("b", "c")]
@@ -188,3 +192,41 @@ def test_tree_of_cliques_implies_every_connected_subset_convex():
 
             if len(connected_components(sub)) == 1:
                 assert is_convex(g, s)
+
+
+@st.composite
+def block_graphs(draw):
+    """Random trees, cliques and trees of cliques (n >= 2)."""
+    kind = draw(st.sampled_from(["tree", "clique", "toc"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "toc":
+        params = {"cliques": draw(st.integers(1, 8)), "smin": 2, "smax": 6}
+        return generate(GeneratorSpec(Kind.TREE_OF_CLIQUES, params, seed=seed))
+    n = draw(st.integers(2, 25))
+    if kind == "clique":
+        return generate(GeneratorSpec(Kind.COMPLETE, {"n": n}))
+    rng = np.random.default_rng(seed)
+    return build_graph([(f"v{int(rng.integers(i)):03d}", f"v{i:03d}") for i in range(1, n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_graphs(), st.integers(1, 20), st.integers(0, 2**31))
+def test_tree_of_cliques_closed_form_matches_monte_carlo(g, runs, seed):
+    assert is_tree_of_cliques(g)
+    score = convexity(g, runs=runs, seed=seed)
+    totals = np.zeros(g.n, dtype=np.int64)
+    for r in range(runs):
+        totals += np.array(expansion_run(g, np.random.default_rng([seed, r])), dtype=np.int64)
+    assert score.x == 1.0
+    assert score.profile.s.tobytes() == (totals / (runs * g.n)).tobytes()
+
+
+def test_convexity_checks_connectivity_once_per_graph():
+    g = random_graph(np.random.default_rng(4), 12, 0.4, connected=True)
+    g = build_graph([g.edge_ids(e) for e in range(g.m)])  # fresh: nothing cached
+    with mock.patch.object(
+        graph_module, "component_labels", wraps=graph_module.component_labels
+    ) as labels:
+        convexity(g, runs=10, seed=0)
+        expansion_run(g, np.random.default_rng(0))
+    assert labels.call_count == 1

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexa import (
     DisconnectedError,
@@ -17,8 +18,8 @@ from convexa import (
     retained_weight_fraction,
     skeleton_graph,
 )
-from convexa.skeleton import _blocks_info, _objective_after_removal
-from oracles import random_graph
+from convexa.synth import GeneratorSpec, Kind, generate
+from oracles import blocks_info, objective_after_removal, random_graph, skeleton_loop
 
 DIAMOND = [("a", "b"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
 
@@ -112,9 +113,9 @@ def test_removed_edge_always_attains_candidate_maximum():
     alive = np.ones(g.m, dtype=bool)
     for (u, v), logged in sk.removed:
         alive_pos = np.flatnonzero(alive)
-        bridge, done = _blocks_info(g.n, g.edge_idx, alive_pos)
+        bridge, done = blocks_info(g.n, g.edge_idx, alive_pos)
         assert not done
-        vals = _objective_after_removal(
+        vals = objective_after_removal(
             g.n, g.edge_idx, alive_pos, Objective.GLOBAL_TRANSITIVITY
         )
         removable = np.array([int(p) not in bridge for p in alive_pos])
@@ -158,8 +159,43 @@ def test_average_local_scores_match_recomputation():
     rng = np.random.default_rng(21)
     g = random_graph(rng, 10, 0.45, connected=True)
     alive_pos = np.arange(g.m)
-    vals = _objective_after_removal(g.n, g.edge_idx, alive_pos, Objective.AVERAGE_LOCAL)
+    vals = objective_after_removal(g.n, g.edge_idx, alive_pos, Objective.AVERAGE_LOCAL)
     for e in range(g.m):
         keep = [p for p in range(g.m) if p != e]
         direct = clustering_avg_local(g.subgraph_with_edges(keep))
         assert vals[e] == pytest.approx(direct, abs=1e-12)
+
+
+@st.composite
+def skeleton_graphs(draw):
+    """Connected random graphs, trees of cliques with random chords, and
+    trees of cliques (nothing to remove)."""
+    kind = draw(st.sampled_from(["random", "chorded_toc", "toc"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return random_graph(
+            rng, draw(st.integers(3, 22)), draw(st.floats(0.15, 0.7)), connected=True
+        )
+    params = {"cliques": draw(st.integers(1, 8)), "smin": 2, "smax": 5}
+    toc = generate(GeneratorSpec(Kind.TREE_OF_CLIQUES, params, seed=draw(st.integers(0, 1000))))
+    records = [toc.edge_ids(e) for e in range(toc.m)]
+    if kind == "chorded_toc":
+        for _ in range(draw(st.integers(1, 15))):
+            u, v = rng.choice(toc.ids, 2, replace=False)
+            records.append((str(u), str(v)))
+    return build_graph(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    skeleton_graphs(),
+    st.sampled_from(list(Objective)),
+    st.sampled_from(list(TieBreak)),
+    st.integers(0, 1000),
+)
+def test_incremental_skeleton_matches_reference_loop(g, objective, tie_break, seed):
+    sk = extract_convex_skeleton(g, objective, tie_break, seed=seed)
+    kept, removed = skeleton_loop(g, objective, tie_break, seed=seed)
+    # bit for bit: float.hex tells apart values that == would merge (0.0, -0.0)
+    assert [(e, v.hex()) for e, v in sk.removed] == [(e, v.hex()) for e, v in removed]
+    assert sk.kept == kept

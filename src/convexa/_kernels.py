@@ -1,107 +1,50 @@
-"""Hot numeric kernels: BFS, geodesic hull closure, Brandes accumulation.
+"""Hot numeric kernels: BFS, common neighbours, geodesic hull closure and
+Brandes accumulation.
 
-`hull_close` and `brandes` are single numpy kernels on both backends.  The
-remaining loop kernels (`_*_loop`: single-source BFS, common neighbours)
-run as plain Python on the numpy backend and are @njit-compiled when
-numba is available and not disabled; set CONVEXA_NUMBA=0 to force the
-numpy backend.  All-pairs BFS has a BLAS numpy path instead of the plain
-loop.  Both backends produce identical results (all logic is
-integer/boolean; float accumulation order is fixed).
+numpy is the only backend: each primitive is one vectorised kernel, and
+the straightforward loops they replaced live in the tests as references
+that the kernels must match exactly (all logic is integer/boolean, and
+float sums keep the loops' order).
 """
-
-import os
 
 import numpy as np
 
-_env = os.environ.get("CONVEXA_NUMBA", "1").strip().lower()
-_want_numba = _env not in ("0", "false", "no", "off")
+BACKEND = "numpy"
 
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _want_numba = False
 
-BACKEND = "numba" if _want_numba else "numpy"
+def _arcs(indptr, nodes):
+    """CSR positions of every arc leaving `nodes`, in order, and the index
+    into `nodes` that each arc leaves."""
+    cnt = indptr[nodes + 1] - indptr[nodes]
+    owner = np.repeat(np.arange(nodes.size), cnt)
+    offset = np.repeat(indptr[nodes] - (np.cumsum(cnt) - cnt), cnt)
+    return np.arange(owner.size) + offset, owner
 
 
 # ---------------------------------------------------------------------------
-# loop implementations (numba-compilable, also runnable as plain python)
+# BFS and common neighbours
 
-def _bfs_one_loop(indptr, indices, n, source):
+def bfs_one(indptr, indices, n, source):
+    """Hop distances from `source`, int32, -1 for unreachable; one frontier
+    of arcs per layer, so O(n + m) work."""
     dist = np.full(n, -1, np.int32)
-    queue = np.empty(n, np.int32)
     dist[source] = 0
-    queue[0] = source
-    head, tail = 0, 1
-    while head < tail:
-        v = queue[head]
-        head += 1
-        dv = dist[v]
-        for k in range(indptr[v], indptr[v + 1]):
-            w = indices[k]
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue[tail] = w
-                tail += 1
+    frontier = np.array([source])
+    d = 0
+    while frontier.size:
+        d += 1
+        child = indices[_arcs(indptr, frontier)[0]]
+        frontier = np.unique(child[dist[child] < 0])
+        dist[frontier] = d
     return dist
 
 
-def _bfs_all_loop(indptr, indices, n):
-    D = np.full((n, n), -1, np.int32)
-    queue = np.empty(n, np.int32)
-    for s in range(n):
-        dist = D[s]
-        dist[s] = 0
-        queue[0] = s
-        head, tail = 0, 1
-        while head < tail:
-            v = queue[head]
-            head += 1
-            dv = dist[v]
-            for k in range(indptr[v], indptr[v + 1]):
-                w = indices[k]
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue[tail] = w
-                    tail += 1
-    return D
-
-
-def _common_neighbors_loop(indptr, indices, eu, ev):
-    # indices must be sorted within each node's slice
-    m = eu.shape[0]
-    out = np.zeros(m, np.int64)
-    for e in range(m):
-        i = indptr[eu[e]]
-        iend = indptr[eu[e] + 1]
-        j = indptr[ev[e]]
-        jend = indptr[ev[e] + 1]
-        c = 0
-        while i < iend and j < jend:
-            a = indices[i]
-            b = indices[j]
-            if a == b:
-                c += 1
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
-        out[e] = c
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy-vectorized fallbacks for the kernels where plain loops would crawl
-
-def _bfs_all_numpy(indptr, indices, n):
-    # float32 products run on BLAS (bool matmul does not) and stay exact:
-    # sums of at most n < 2**24 ones
-    A = np.zeros((n, n), np.float32)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    A[rows, indices] = 1
+def bfs_all(A):
+    """All-pairs hop distances, int32, -1 for unreachable, from the dense 0/1
+    float32 adjacency `A`.  All sources advance together, one layer per
+    matrix product; float32 products run on BLAS (bool matmul does not) and
+    stay exact: sums of at most n < 2**24 ones."""
+    n = A.shape[0]
     D = np.full((n, n), -1, np.int32)
     frontier = np.eye(n, dtype=bool)
     visited = frontier.copy()
@@ -115,21 +58,35 @@ def _bfs_all_numpy(indptr, indices, n):
     return D
 
 
+def common_neighbors(indptr, indices, eu, ev):
+    """|N(eu[i]) & N(ev[i])| for each pair, exact int64.
+
+    Every arc (x, w) of the lower-degree endpoint x of a pair (x, y) is
+    looked up as the key y*n + w among the CSR's arc keys head*n + tail,
+    which are sorted because `indices` is sorted per node.  Work is
+    O(sum of min degrees * log m).
+    """
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    eu = np.asarray(eu, np.int64)
+    ev = np.asarray(ev, np.int64)
+    swap = deg[eu] > deg[ev]
+    x = np.where(swap, ev, eu)
+    y = np.where(swap, eu, ev)
+    pos, owner = _arcs(indptr, x)
+    keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + indices
+    query = y[owner] * n + indices[pos]
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    counts = np.bincount(owner[keys[at] == query], minlength=eu.size)
+    return counts.astype(np.int64, copy=False)
+
+
 # ---------------------------------------------------------------------------
-# Brandes accumulation: one numpy kernel on both backends
+# Brandes accumulation
 
 #: element budget of one source block: k sources cost about k * (n + 2m)
 #: elements (distances, path counts, dependencies, edge terms, frontier arcs)
 BRANDES_BLOCK_ELEMENTS = 2**16
-
-
-def _arcs(indptr, nodes):
-    """CSR positions of every arc leaving `nodes`, in order, and the index
-    into `nodes` that each arc leaves."""
-    cnt = indptr[nodes + 1] - indptr[nodes]
-    owner = np.repeat(np.arange(nodes.size), cnt)
-    offset = np.repeat(indptr[nodes] - (np.cumsum(cnt) - cnt), cnt)
-    return np.arange(owner.size) + offset, owner
 
 
 def _brandes_block(indptr, indices, edge_id, n, m, sources):
@@ -205,7 +162,7 @@ def brandes(indptr, indices, edge_id, n, m):
 
 
 # ---------------------------------------------------------------------------
-# geodesic hull closure: one numpy/BLAS kernel on both backends
+# geodesic hull closure
 
 def _on_geodesics_direct(D, new, mem):
     # w lies on a geodesic between some (u in new, v in mem); a
@@ -251,13 +208,3 @@ def hull_close(D, A, members, new_nodes):
         new = np.flatnonzero(on & ~members)
         members[new] = True
     return members
-
-
-if _want_numba:
-    bfs_one = njit(cache=True)(_bfs_one_loop)
-    bfs_all = njit(cache=True)(_bfs_all_loop)
-    common_neighbors = njit(cache=True)(_common_neighbors_loop)
-else:
-    bfs_one = _bfs_one_loop
-    bfs_all = _bfs_all_numpy
-    common_neighbors = _common_neighbors_loop

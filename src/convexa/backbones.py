@@ -9,7 +9,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvexaError, DisconnectedError, InputError
 from .graph import Graph, is_connected
 from .skeleton import TieBreak
@@ -75,13 +74,10 @@ def embeddedness(g: Graph, edge) -> float:
 
 
 def _embeddedness_all(g: Graph) -> np.ndarray:
-    indptr, indices, _ = g.csr
-    eu = g.edge_idx[:, 0].astype(np.int32)
-    ev = g.edge_idx[:, 1].astype(np.int32)
-    cn = _kernels.common_neighbors(indptr, indices, eu, ev)
+    cn = g.common_neighbors
     deg = g.degrees
     # |N(u) ∪ N(v) − {u,v}| = deg(u) + deg(v) − 2 − cn
-    denom = deg[eu] + deg[ev] - 2 - cn
+    denom = deg[g.edge_idx[:, 0]] + deg[g.edge_idx[:, 1]] - 2 - cn
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom > 0, cn / denom, 0.0)
 

@@ -211,32 +211,30 @@ def cmd_skeleton(args):
     return 0
 
 
-def _make_backbone(g, kind, args, seed):
-    if kind is BackboneKind.CONVEX_SKELETON:
-        sk = _skeleton_of(g, args, seed)
-        return Backbone(kind, sk.kept), sk
+def _make_backbone(g, kind, args, seed, sk=None):
+    """The `kind` backbone of g.  The top-m kinds keep --m edges, by default
+    as many as the convex skeleton `sk`, which is extracted here when it is
+    needed and not given."""
+    tie_break = _TIE_BREAKS[args.tie_break]
     if kind is BackboneKind.MAX_SPANNING_TREE:
-        return maximum_spanning_tree(g, tie_break=_TIE_BREAKS[args.tie_break], seed=seed), None
-    m = args.m
-    if m is None:
-        m = len(_skeleton_of(g, args, seed).kept)
+        return maximum_spanning_tree(g, tie_break=tie_break, seed=seed)
+    if sk is None and (kind is BackboneKind.CONVEX_SKELETON or args.m is None):
+        sk = _skeleton_of(g, args, seed)
+    if kind is BackboneKind.CONVEX_SKELETON:
+        return Backbone(kind, sk.kept)
+    m = len(sk.kept) if args.m is None else args.m
     if kind is BackboneKind.HIGH_BETWEENNESS:
         scores = edge_betweenness(g)
     else:
         scores = embeddedness_scores(g)
-    return (
-        top_m_edge_backbone(
-            g, scores, m, kind=kind, tie_break=_TIE_BREAKS[args.tie_break], seed=seed
-        ),
-        None,
-    )
+    return top_m_edge_backbone(g, scores, m, kind=kind, tie_break=tie_break, seed=seed)
 
 
 def cmd_backbone(args):
     g = _load_graph(args.input)
     seed = _resolve_seed(args)
     kind = _BACKBONE_NAMES[args.kind]
-    b, _ = _make_backbone(g, kind, args, seed)
+    b = _make_backbone(g, kind, args, seed)
     buf = io.StringIO()
     flag = "in_skeleton" if kind is BackboneKind.CONVEX_SKELETON else "in_backbone"
     write_edge_tsv(g, buf, flags=b.edges, flag_name=flag)
@@ -291,25 +289,10 @@ def cmd_compare(args):
         if k not in _BACKBONE_NAMES:
             raise InputError(f"unknown backbone kind {k!r}")
     sk = _skeleton_of(g, args, seed)
-    os.makedirs(args.output_dir, exist_ok=True)
     columns = {"network": descriptive_stats(g, convexity_runs=args.runs, seed=seed)}
     backbones = {}
     for name in kinds:
-        kind = _BACKBONE_NAMES[name]
-        if kind is BackboneKind.CONVEX_SKELETON:
-            b = Backbone(kind, sk.kept)
-        elif kind is BackboneKind.MAX_SPANNING_TREE:
-            b = maximum_spanning_tree(g, tie_break=_TIE_BREAKS[args.tie_break], seed=seed)
-        else:
-            scores = (
-                edge_betweenness(g)
-                if kind is BackboneKind.HIGH_BETWEENNESS
-                else embeddedness_scores(g)
-            )
-            b = top_m_edge_backbone(
-                g, scores, len(sk.kept), kind=kind,
-                tie_break=_TIE_BREAKS[args.tie_break], seed=seed,
-            )
+        b = _make_backbone(g, _BACKBONE_NAMES[name], args, seed, sk)
         backbones[name] = b
         columns[name] = descriptive_stats(
             backbone_graph(g, b), convexity_runs=args.runs, seed=seed
@@ -317,17 +300,8 @@ def cmd_compare(args):
     rows = [["statistic", *columns]]
     for row in _STAT_ROWS:
         rows.append([row] + [fmt(getattr(columns[c], row)) for c in columns])
-    stats_path = os.path.join(args.output_dir, "stats.csv")
-    atomic_write(stats_path, csv_text(rows))
-    config = {
-        "input": args.input,
-        "backbones": kinds,
-        "runs": args.runs,
-        "seed": seed,
-        "objective": args.objective,
-        "tie_break": args.tie_break,
-    }
-    write_meta(stats_path, "compare", config)
+    # every file's text is ready before the first write: all or nothing
+    texts = {"stats.csv": csv_text(rows)}
     full = centrality_values(g) if backbones else None
     for name, b in backbones.items():
         grid = correlation_matrix(g, b, full)
@@ -338,8 +312,19 @@ def cmd_compare(args):
                     [cell.row_measure.value, cell.col_measure.value,
                      fmt(cell.rho), fmt(cell.tau)]
                 )
-        path = os.path.join(args.output_dir, f"corr_{name}.csv")
-        atomic_write(path, csv_text(rows))
+        texts[f"corr_{name}.csv"] = csv_text(rows)
+    config = {
+        "input": args.input,
+        "backbones": kinds,
+        "runs": args.runs,
+        "seed": seed,
+        "objective": args.objective,
+        "tie_break": args.tie_break,
+    }
+    os.makedirs(args.output_dir, exist_ok=True)
+    for name, text in texts.items():
+        path = os.path.join(args.output_dir, name)
+        atomic_write(path, text)
         write_meta(path, "compare", config)
     print(f"compare: wrote stats.csv and {len(backbones)} correlation file(s) to {args.output_dir}")
     return 0
@@ -580,7 +565,8 @@ def build_parser():
     p.add_argument("--output-dir", required=True)
     _add_skeleton_opts(p)
     _add_common(p, output=False)
-    p.set_defaults(func=cmd_compare)
+    # the top-m backbones always keep as many edges as the skeleton
+    p.set_defaults(func=cmd_compare, m=None)
 
     p = sub.add_parser("centrality", help="centrality values for all nodes")
     p.add_argument("--input", required=True)

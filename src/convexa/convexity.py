@@ -120,12 +120,9 @@ def convexity(g: Graph, runs: int = 100, *, seed: int) -> ConvexityScore:
 def is_tree_of_cliques(g: Graph) -> bool:
     """True iff every biconnected block is a complete subgraph."""
     _require_connected(g)
+    pairs = g.edge_idx.tolist()
     for block in biconnected_edge_blocks(g.n, g.edge_idx):
-        nodes = set()
-        for e in block:
-            nodes.add(int(g.edge_idx[e, 0]))
-            nodes.add(int(g.edge_idx[e, 1]))
-        k = len(nodes)
+        k = len({x for e in block for x in pairs[e]})
         if len(block) != k * (k - 1) // 2:
             return False
     return True

@@ -83,8 +83,7 @@ class Graph:
     @cached_property
     def dist_matrix(self):
         """All-pairs hop distances, int32, -1 for unreachable."""
-        indptr, indices, _ = self.csr
-        return _kernels.bfs_all(indptr, indices, self.n)
+        return _kernels.bfs_all(self.adjacency)
 
     @cached_property
     def brandes(self):
@@ -93,8 +92,17 @@ class Graph:
         return _kernels.brandes(indptr, indices, edge_id, self.n, self.m)
 
     @cached_property
+    def common_neighbors(self):
+        """Per-edge common-neighbour counts, int64, read-only (copy to update)."""
+        indptr, indices, _ = self.csr
+        cn = _kernels.common_neighbors(indptr, indices, *self.edge_idx.T)
+        cn.flags.writeable = False
+        return cn
+
+    @cached_property
     def adjacency(self):
-        """Dense 0/1 adjacency, float32 (the hull-closure sweep's BLAS operand)."""
+        """Dense 0/1 adjacency, float32 (the BLAS operand of all-pairs BFS and
+        of the hull-closure sweep)."""
         A = np.zeros((self.n, self.n), np.float32)
         A[self.edge_idx[:, 0], self.edge_idx[:, 1]] = 1
         A[self.edge_idx[:, 1], self.edge_idx[:, 0]] = 1
@@ -226,10 +234,8 @@ def biconnected_edge_blocks(n, edge_idx):
     Iterative Hopcroft-Tarjan; every edge lands in exactly one block,
     bridges become singleton blocks.
     """
-    m = len(edge_idx)
     adj = [[] for _ in range(n)]
-    for e in range(m):
-        u, v = int(edge_idx[e, 0]), int(edge_idx[e, 1])
+    for e, (u, v) in enumerate(edge_idx.tolist()):
         adj[u].append((v, e))
         adj[v].append((u, e))
     disc = [-1] * n

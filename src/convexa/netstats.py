@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .backbones import Backbone, backbone_graph
 from .centrality import Measure, compute
 from .convexity import convexity
@@ -41,10 +40,7 @@ def clustering_global(g: Graph) -> float:
     """Transitivity: 3 * triangles / connected triples (0 when no triples)."""
     if g.m == 0:
         return 0.0
-    indptr, indices, _ = g.csr
-    cn = _kernels.common_neighbors(
-        indptr, indices, g.edge_idx[:, 0].astype(np.int32), g.edge_idx[:, 1].astype(np.int32)
-    )
+    cn = g.common_neighbors
     deg = g.degrees
     triples = int((deg * (deg - 1) // 2).sum())
     return float(cn.sum()) / triples if triples else 0.0
@@ -52,17 +48,12 @@ def clustering_global(g: Graph) -> float:
 
 def clustering_avg_local(g: Graph) -> float:
     """Mean local clustering over all nodes; degree-<2 nodes contribute 0."""
-    if g.n == 0:
-        return 0.0
     if g.m == 0:
         return 0.0
-    indptr, indices, _ = g.csr
-    eu = g.edge_idx[:, 0].astype(np.int32)
-    ev = g.edge_idx[:, 1].astype(np.int32)
-    cn = _kernels.common_neighbors(indptr, indices, eu, ev)
+    cn = g.common_neighbors
     tri = np.zeros(g.n)
-    np.add.at(tri, eu, cn)
-    np.add.at(tri, ev, cn)
+    np.add.at(tri, g.edge_idx[:, 0], cn)
+    np.add.at(tri, g.edge_idx[:, 1], cn)
     tri /= 2.0
     deg = g.degrees
     pairs = deg * (deg - 1) / 2.0
@@ -83,7 +74,10 @@ def assortativity(g: Graph) -> Optional[float]:
 
 
 def largest_component_graph(g: Graph):
-    """(subgraph induced on the LCC, LCC node fraction)."""
+    """(subgraph induced on the LCC, LCC node fraction); a connected graph
+    is its own LCC."""
+    if g.connected:
+        return g, 1.0
     labels = component_labels(g)
     vals, counts = np.unique(labels, return_counts=True)
     best = counts.max()
@@ -107,16 +101,16 @@ def largest_component_graph(g: Graph):
     return sub, len(keep) / g.n
 
 
-def mean_distance_lcc(g: Graph) -> float:
-    lcc, _ = largest_component_graph(g)
-    if lcc.n < 2:
+def mean_distance(g: Graph) -> float:
+    """Mean hop distance over the node pairs of a connected graph."""
+    if g.n < 2:
         return 0.0
-    D = lcc.dist_matrix
-    iu = np.triu_indices(lcc.n, k=1)
-    return float(D[iu].mean())
+    iu = np.triu_indices(g.n, k=1)
+    return float(g.dist_matrix[iu].mean())
 
 
 def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int = 0) -> StatsRecord:
+    # one LCC object: its distance matrix serves convexity and mean distance
     lcc, frac = largest_component_graph(g)
     if lcc.n >= 2:
         conv = convexity(lcc, runs=convexity_runs, seed=seed).x
@@ -131,7 +125,7 @@ def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int = 0) -> 
         edges=g.m,
         pct_lcc=100.0 * frac,
         mean_degree=2.0 * g.m / g.n if g.n else 0.0,
-        mean_distance=mean_distance_lcc(g),
+        mean_distance=mean_distance(lcc),
         assortativity=assort,
         clustering=clustering_global(g),
         convexity=conv,

@@ -20,7 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import _arcs
 from .errors import ConvexaError, DisconnectedError, InputError
 from .graph import Graph, biconnected_edge_blocks, is_connected
@@ -74,10 +73,7 @@ class _LiveGraph:
             self.nbr[v][u] = e
         self.alive = np.ones(m, dtype=bool)
         self.deg = g.degrees.copy()
-        indptr, indices, _ = self.csr
-        self.cn = _kernels.common_neighbors(
-            indptr, indices, self.eu.astype(np.int32), self.ev.astype(np.int32)
-        )
+        self.cn = g.common_neighbors.copy()
         self.w_loss = None
         if objective is Objective.AVERAGE_LOCAL:
             inv = _inv_pairs(self.deg).tolist()

@@ -204,10 +204,57 @@ def blocks_info(n, edge_idx, alive_pos):
     return bridge, all_cliques
 
 
+def bfs_all_loop(indptr, indices, n):
+    """All-pairs hop distances by one queue BFS per source; -1 unreachable."""
+    D = np.full((n, n), -1, np.int32)
+    queue = np.empty(n, np.int32)
+    for s in range(n):
+        dist = D[s]
+        dist[s] = 0
+        queue[0] = s
+        head, tail = 0, 1
+        while head < tail:
+            v = queue[head]
+            head += 1
+            dv = dist[v]
+            for k in range(indptr[v], indptr[v + 1]):
+                w = indices[k]
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    queue[tail] = w
+                    tail += 1
+    return D
+
+
+def common_neighbors_loop(indptr, indices, eu, ev):
+    """Per-pair common-neighbour counts by merging the sorted CSR rows."""
+    m = eu.shape[0]
+    out = np.zeros(m, np.int64)
+    for e in range(m):
+        i = indptr[eu[e]]
+        iend = indptr[eu[e] + 1]
+        j = indptr[ev[e]]
+        jend = indptr[ev[e] + 1]
+        c = 0
+        while i < iend and j < jend:
+            a = indices[i]
+            b = indices[j]
+            if a == b:
+                c += 1
+                i += 1
+                j += 1
+            elif a < b:
+                i += 1
+            else:
+                j += 1
+        out[e] = c
+    return out
+
+
 def objective_after_removal(n, edge_idx, alive_pos, objective):
     """Objective value of the graph after removing each alive edge,
     evaluated from scratch on the alive edges."""
-    from convexa import Objective, _kernels
+    from convexa import Objective
     from convexa.graph import build_csr
 
     sub = edge_idx[alive_pos]
@@ -215,7 +262,7 @@ def objective_after_removal(n, edge_idx, alive_pos, objective):
     deg = np.bincount(sub.ravel(), minlength=n).astype(np.int64)
     eu = sub[:, 0].astype(np.int32)
     ev = sub[:, 1].astype(np.int32)
-    cn = _kernels.common_neighbors(indptr, indices, eu, ev)
+    cn = common_neighbors_loop(indptr, indices, eu, ev)
     if objective is Objective.GLOBAL_TRANSITIVITY:
         tri3 = int(cn.sum())  # 3 * number of triangles
         triples = int((deg * (deg - 1) // 2).sum())

@@ -122,6 +122,23 @@ def test_compare_cycle_undefined_correlations_are_na(workdir):
         assert all(line.endswith(",NA,NA") for line in lines[1:])
 
 
+def test_compare_failure_writes_nothing(workdir, monkeypatch, capsys):
+    # every text is computed before the output directory is made
+    from convexa import ConvexaError, cli
+
+    def fail(*args, **kwargs):
+        raise ConvexaError("correlation failed")
+
+    monkeypatch.setattr(cli, "correlation_matrix", fail)
+    d = workdir / "cmp_fail"
+    code = cli.main(["compare", "--input", str(workdir / "tree.tsv"), "--runs", "5",
+                     "--output-dir", str(d)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: correlation failed\n"
+    assert not (d / "stats.csv").exists()
+    assert not d.exists()
+
+
 def test_rank_limits_rows(workdir):
     out = workdir / "rank.csv"
     r = run("rank", "--input", str(workdir / "toc.tsv"), "--measure", "pagerank",

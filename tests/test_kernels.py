@@ -8,15 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import convexa as cx
 from convexa import _kernels
-from convexa._kernels import (
-    _bfs_all_loop,
-    _bfs_all_numpy,
-    _common_neighbors_loop,
-    _on_geodesics_direct,
-    _on_geodesics_sweep,
-)
+from convexa._kernels import _on_geodesics_direct, _on_geodesics_sweep
 from oracles import (
+    bfs_all_loop,
     brandes_loop,
+    common_neighbors_loop,
     convex_hull_oracle,
     hull_close_loop,
     random_gnm,
@@ -36,10 +32,15 @@ def test_bfs_all_backends_agree():
     assert split.dist_matrix[0, 3] == -1
     for g in [split] + [g for g, _ in _graphs()]:
         indptr, indices, _ = g.csr
-        a = _bfs_all_loop(indptr, indices, g.n)
-        b = _bfs_all_numpy(indptr, indices, g.n)
+        a = bfs_all_loop(indptr, indices, g.n)
+        b = _kernels.bfs_all(g.adjacency)
+        assert b.dtype == np.int32
         assert np.array_equal(a, b)
         assert np.array_equal(g.dist_matrix, a)
+        for s in range(g.n):
+            row = _kernels.bfs_one(indptr, indices, g.n, s)
+            assert row.dtype == np.int32
+            assert np.array_equal(row, a[s])
 
 
 @st.composite
@@ -150,17 +151,61 @@ def test_brandes_matches_loop_bit_for_bit(g, per_block):
         _assert_brandes_matches_loop(g)
 
 
+def _neighbour_sets(g):
+    adj = {i: set() for i in range(g.n)}
+    for u, v in g.edge_idx.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def test_common_neighbors_matches_sets():
     for g, _ in _graphs():
         indptr, indices, _ = g.csr
         eu = g.edge_idx[:, 0].astype(np.int32)
         ev = g.edge_idx[:, 1].astype(np.int32)
-        got = _common_neighbors_loop(indptr, indices, eu, ev)
+        got = common_neighbors_loop(indptr, indices, eu, ev)
         active = _kernels.common_neighbors(indptr, indices, eu, ev)
         assert np.array_equal(got, active)
-        adj = {i: set() for i in range(g.n)}
-        for u, v in g.edge_idx:
-            adj[int(u)].add(int(v))
-            adj[int(v)].add(int(u))
+        assert np.array_equal(g.common_neighbors, got)
+        adj = _neighbour_sets(g)
         for e in range(g.m):
             assert got[e] == len(adj[int(eu[e])] & adj[int(ev[e])])
+
+
+@st.composite
+def neighbourhood_graphs(draw):
+    """Stars and hubs with the centre at any index, so the lower-degree
+    endpoint of an edge is its first or its second node; cliques; sparse
+    random graphs with isolated nodes; edgeless graphs."""
+    kind = draw(st.sampled_from(["star", "hub", "clique", "random", "edgeless"]))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = [f"v{i:03d}" for i in range(n)]
+    centre = draw(st.integers(0, n - 1))
+    pairs = []
+    if kind == "random":
+        return random_graph(rng, n, draw(st.floats(0.02, 0.5)))
+    if kind in ("star", "hub"):
+        pairs = [(centre, i) for i in range(n) if i != centre]
+    if kind == "hub":
+        pairs += [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.2]
+    if kind == "clique":
+        pairs = list(itertools.combinations(range(n), 2))
+    return cx.build_graph([(labels[u], labels[v]) for u, v in pairs], isolated_nodes=labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbourhood_graphs(), st.data())
+def test_common_neighbors_matches_loop_and_sets(g, data):
+    # every edge, plus arbitrary node pairs (edges or not)
+    extra = data.draw(st.lists(st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))))
+    eu = np.array(g.edge_idx[:, 0].tolist() + [u for u, _ in extra], np.int32)
+    ev = np.array(g.edge_idx[:, 1].tolist() + [v for _, v in extra], np.int32)
+    indptr, indices, _ = g.csr
+    got = _kernels.common_neighbors(indptr, indices, eu, ev)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, common_neighbors_loop(indptr, indices, eu, ev))
+    adj = _neighbour_sets(g)
+    assert got.tolist() == [len(adj[u] & adj[v]) for u, v in zip(eu.tolist(), ev.tolist())]
+    assert np.array_equal(g.common_neighbors, got[: g.m])

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from convexa import (
     clustering_global,
     correlation_matrix,
     descriptive_stats,
+    embeddedness_scores,
+    extract_convex_skeleton,
     kendall_tau,
     maximum_spanning_tree,
     spearman_rho,
 )
+from convexa import _kernels
 from convexa.netstats import average_ranks
 from oracles import random_graph
 
@@ -85,6 +89,28 @@ def test_descriptive_stats_spanning_tree_pattern():
     assert s.pct_lcc == 100.0
     assert s.clustering == 0.0
     assert s.convexity == 1.0
+
+
+def test_descriptive_stats_one_bfs_on_connected_graph():
+    # a connected graph is its own LCC: convexity and mean distance share
+    # one distance matrix
+    g = random_graph(np.random.default_rng(5), 20, 0.3, connected=True)
+    with mock.patch.object(_kernels, "bfs_all", wraps=_kernels.bfs_all) as bfs_all:
+        s = descriptive_stats(g, convexity_runs=5, seed=1)
+    assert bfs_all.call_count == 1
+    assert s.pct_lcc == 100.0
+
+
+def test_common_neighbours_counted_once_per_graph():
+    g = random_graph(np.random.default_rng(6), 20, 0.3, connected=True)
+    with mock.patch.object(
+        _kernels, "common_neighbors", wraps=_kernels.common_neighbors
+    ) as cn:
+        clustering_global(g)
+        clustering_avg_local(g)
+        embeddedness_scores(g)
+        extract_convex_skeleton(g)
+    assert cn.call_count == 1
 
 
 def test_stats_on_disconnected_uses_lcc():

@@ -164,47 +164,53 @@ def brandes(indptr, indices, edge_id, n, m):
 # ---------------------------------------------------------------------------
 # geodesic hull closure
 
-def _on_geodesics_direct(D, new, mem):
-    # w lies on a geodesic between some (u in new, v in mem); a
-    # (|new|, |mem|, n) tensor
-    lhs = D[new][:, None, :] + D[mem][None, :, :]
-    rhs = D[np.ix_(new, mem)][:, :, None]
-    return (lhs == rhs).any(axis=(0, 1))
-
-
-def _on_geodesics_sweep(D, A, new, members):
+def _sweep(D, A, on, nodes):
     # w lies on a u-v geodesic for some member v iff w is an ancestor of a
-    # member in u's BFS DAG: sweep every u's layers from the deepest member
-    # up, marking the parents of marked nodes.  Layer 0 is u itself, a
+    # member in u's BFS DAG: sweep every pair's layers from its deepest
+    # member up, marking the parents of marked nodes.  `on` starts as each
+    # pair's row of members (modified in place).  Layer 0 is u itself, a
     # member, so the sweep stops at layer 1.  The 0/1 float32 products are
     # exact (sums of at most n < 2**24 ones).
-    Dn = D[new]
-    on = np.repeat(members[None, :], len(new), axis=0)
-    for d in range(int(Dn[:, members].max()), 1, -1):
+    Dn = D[nodes]
+    for d in range(int(np.where(on, Dn, 0).max()), 1, -1):
         parents = (on & (Dn == d)).astype(np.float32) @ A > 0
         on |= parents & (Dn == d - 1)
-    return on.any(axis=0)
+    return on
 
 
-def hull_close(D, A, members, new_nodes):
-    """Close `members` (bool, modified in place) under geodesic betweenness.
+def hull_close(D, A, members, rows, nodes):
+    """Close each row of the (k, n) bool block `members` (modified in place)
+    under geodesic betweenness, after pushing node nodes[i] into row
+    rows[i].
 
-    `members` must already be closed before `new_nodes` were added; `D` is
-    the all-pairs distance matrix of a connected graph and `A` its dense
-    0/1 float32 adjacency.  Each round tests the pushed batch against the
-    members directly when the |new| x |members| x n tensor has at most n^2
-    elements, and otherwise sweeps the batch's BFS DAGs, so memory stays
-    O(n^2).
+    Every row must be closed before its pushed nodes were added; `D` is the
+    all-pairs distance matrix of a connected graph and `A` its dense 0/1
+    float32 adjacency.  Each round sweeps the BFS DAGs of all pushed pairs
+    together, ORs each pair's marks into its row, and pushes what a row
+    gained; it stops when no row that is not yet full grows.  At most n // 4
+    pairs share a sweep (at least one), so its (pairs, n) temporaries stay
+    within about the size of `D` whatever the number of rows and pairs, and
+    wide BLAS products pay for themselves on large graphs.
     """
     n = D.shape[0]
-    new = np.asarray(new_nodes, dtype=np.intp)
-    members[new] = True
-    while new.size and not members.all():
-        mem = np.flatnonzero(members)
-        if new.size * mem.size <= n:
-            on = _on_geodesics_direct(D, new, mem)
-        else:
-            on = _on_geodesics_sweep(D, A, new, members)
-        new = np.flatnonzero(on & ~members)
-        members[new] = True
+    rows = np.asarray(rows, np.intp)
+    nodes = np.asarray(nodes, np.intp)
+    members[rows, nodes] = True
+    step = max(1, n // 4)
+    order = np.argsort(rows, kind="stable")
+    rows, nodes = rows[order], nodes[order]
+    while rows.size:
+        grown = np.unique(rows)
+        before = members[grown]
+        for s in range(0, rows.size, step):
+            r = rows[s:s + step]
+            on = _sweep(D, A, members[r], nodes[s:s + step])
+            # pairs are sorted by row: OR each row's pairs together
+            ur, at = np.unique(r, return_index=True)
+            members[ur] |= np.logical_or.reduceat(on, at, axis=0)
+        after = members[grown]
+        gained = after & ~before
+        gained[after.all(axis=1)] = False
+        i, nodes = np.nonzero(gained)  # sorted by row again
+        rows = grown[i]
     return members

@@ -84,35 +84,65 @@ def csv_text(rows):
     return buf.getvalue()
 
 
-def atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".convexa-")
+def write_files(texts):
+    """Write every {path: text}, or none of them.
+
+    Each text goes to a temporary file beside its path, and the temporary
+    files replace their paths only once all are written; on failure the
+    temporary files and any path created here are removed again.  Files get
+    mode 0o666 & ~umask, as open() would give them, and an I/O error names
+    the requested path.
+    """
+    mask = os.umask(0)
+    os.umask(mask)
+    staged = {}
+    created = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in texts.items():
+            try:
+                fd, staged[path] = tempfile.mkstemp(
+                    dir=os.path.dirname(os.path.abspath(path)), prefix=".convexa-"
+                )
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    os.fchmod(fh.fileno(), 0o666 & ~mask)
+                    fh.write(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
+        for path, tmp in list(staged.items()):
+            new = not os.path.lexists(path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from exc
+            del staged[path]
+            if new:
+                created.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in list(staged.values()) + created:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
         raise
 
 
-def write_meta(path, subcommand, config):
+def meta_text(subcommand, config):
     meta = {
         "tool": "convexa",
         "version": __version__,
         "subcommand": subcommand,
         "config": config,
     }
-    atomic_write(path + ".meta.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    return json.dumps(meta, sort_keys=True, indent=2) + "\n"
 
 
-def emit(args, subcommand, config, csv_text, json_obj):
+def emit(args, subcommand, config, csv_text, json_obj, extra=None):
+    """Write the primary output (CSV, or JSON with --format json), its
+    .meta.json sidecar and the `extra` {path: text} files, all or nothing."""
     if args.format == "json":
-        atomic_write(args.output, json.dumps(json_obj, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(json_obj, sort_keys=True, indent=2) + "\n"
     else:
-        atomic_write(args.output, csv_text)
-    write_meta(args.output, subcommand, config)
+        text = csv_text
+    files = {args.output: text, args.output + ".meta.json": meta_text(subcommand, config)}
+    write_files({**files, **(extra or {})})
 
 
 def _seed_default():
@@ -189,8 +219,7 @@ def cmd_skeleton(args):
     removal_rows = [["step", "u", "v", "objective"]]
     for i, ((u, v), val) in enumerate(sk.removed, 1):
         removal_rows.append([i, u, v, fmt(val)])
-    if args.removal_log:
-        atomic_write(args.removal_log, csv_text(removal_rows))
+    extra = {args.removal_log: csv_text(removal_rows)} if args.removal_log else None
     emit(
         args,
         "skeleton",
@@ -203,6 +232,7 @@ def cmd_skeleton(args):
             "weight_fraction": wf,
             "skeleton_stats": _stats_dict(stats),
         },
+        extra,
     )
     print(
         f"skeleton kept {len(sk.kept)}/{g.m} edges "
@@ -290,21 +320,20 @@ def cmd_compare(args):
             raise InputError(f"unknown backbone kind {k!r}")
     sk = _skeleton_of(g, args, seed)
     columns = {"network": descriptive_stats(g, convexity_runs=args.runs, seed=seed)}
-    backbones = {}
+    backbones = {}  # name -> (backbone, its graph), one graph object each
     for name in kinds:
         b = _make_backbone(g, _BACKBONE_NAMES[name], args, seed, sk)
-        backbones[name] = b
-        columns[name] = descriptive_stats(
-            backbone_graph(g, b), convexity_runs=args.runs, seed=seed
-        )
+        sub = backbone_graph(g, b)
+        backbones[name] = b, sub
+        columns[name] = descriptive_stats(sub, convexity_runs=args.runs, seed=seed)
     rows = [["statistic", *columns]]
     for row in _STAT_ROWS:
         rows.append([row] + [fmt(getattr(columns[c], row)) for c in columns])
     # every file's text is ready before the first write: all or nothing
     texts = {"stats.csv": csv_text(rows)}
     full = centrality_values(g) if backbones else None
-    for name, b in backbones.items():
-        grid = correlation_matrix(g, b, full)
+    for name, (b, sub) in backbones.items():
+        grid = correlation_matrix(g, b, full, sub)
         rows = [["row_measure", "col_measure", "rho", "tau"]]
         for row in grid:
             for cell in row:
@@ -322,10 +351,12 @@ def cmd_compare(args):
         "tie_break": args.tie_break,
     }
     os.makedirs(args.output_dir, exist_ok=True)
+    files = {}
     for name, text in texts.items():
         path = os.path.join(args.output_dir, name)
-        atomic_write(path, text)
-        write_meta(path, "compare", config)
+        files[path] = text
+        files[path + ".meta.json"] = meta_text("compare", config)
+    write_files(files)
     print(f"compare: wrote stats.csv and {len(backbones)} correlation file(s) to {args.output_dir}")
     return 0
 

@@ -195,15 +195,20 @@ def centrality_values(g: Graph) -> dict:
     return {m: compute(g, m).values for m in MEASURES}
 
 
-def correlation_matrix(g: Graph, b: Backbone, row_vecs: Optional[dict] = None):
+def correlation_matrix(
+    g: Graph, b: Backbone, row_vecs: Optional[dict] = None, sub: Optional[Graph] = None
+):
     """4x4 grid: rows = measures on the full graph, columns = on the backbone.
 
     A cell whose row or column measure is constant has rho = tau = None.
 
     `row_vecs`, `centrality_values(g)` when omitted, saves recomputing the
-    rows when one graph is compared with several backbones.
+    rows when one graph is compared with several backbones; `sub`,
+    `backbone_graph(g, b)` when omitted, lets a caller that already built
+    the backbone's graph reuse it and what it has cached.
     """
-    sub = backbone_graph(g, b)
+    if sub is None:
+        sub = backbone_graph(g, b)
     if tuple(sub.ids) != tuple(g.ids):
         raise InputError("backbone node universe must equal the graph's")
     if row_vecs is None:

@@ -113,6 +113,32 @@ def hull_close_loop(D, members, new_nodes):
     return members
 
 
+def expansion_run_loop(g, rng):
+    """Reference expansion run, one step at a time: |S| after each step
+    t = 0 .. n-1, each closure by `hull_close_loop`.  Draws `integers(n)`
+    once, then `integers(number of cut edges)` per step until S is full;
+    the pushed node is the outer end of that cut edge in ascending edge
+    order."""
+    n = g.n
+    D = g.dist_matrix
+    eu = g.edge_idx[:, 0]
+    ev = g.edge_idx[:, 1]
+    members = np.zeros(n, dtype=bool)
+    start = int(rng.integers(n))
+    hull_close_loop(D, members, np.array([start], np.int32))
+    sizes = [int(members.sum())]
+    while len(sizes) < n:
+        if members.all():
+            sizes.append(n)
+            continue
+        cut = np.flatnonzero(members[eu] ^ members[ev])
+        e = cut[int(rng.integers(len(cut)))]
+        new = int(ev[e]) if members[eu[e]] else int(eu[e])
+        hull_close_loop(D, members, np.array([new], np.int32))
+        sizes.append(int(members.sum()))
+    return sizes
+
+
 def brandes_loop(indptr, indices, edge_id, n, m):
     """Reference Brandes accumulation: one BFS per source, node and edge
     betweenness together (unordered pairs, per component)."""
@@ -420,14 +446,22 @@ def random_graph(rng, n, p, connected=False, weighted=False):
 
 
 def random_gnm(rng, n, m):
-    """Seeded connected uniform random graph G(n, m), redrawn until connected."""
+    """Seeded connected uniform random graph G(n, m), redrawn until connected.
+
+    Each draw picks m indices among the n(n-1)/2 pairs (i < j, in
+    lexicographic order) and decodes them arithmetically, so no list of all
+    pairs is built.
+    """
     from convexa import build_graph
     from convexa.graph import is_connected
 
     labels = [f"v{i:03d}" for i in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    i = np.arange(n, dtype=np.int64)
+    first = i * (n - 1) - i * (i - 1) // 2  # index of the pair (i, i + 1)
     while True:
-        pick = rng.choice(len(pairs), size=m, replace=False)
-        g = build_graph([(labels[pairs[k][0]], labels[pairs[k][1]]) for k in pick])
+        pick = rng.choice(n * (n - 1) // 2, size=m, replace=False)
+        u = np.searchsorted(first, pick, side="right") - 1
+        v = pick - first[u] + u + 1
+        g = build_graph([(labels[a], labels[b]) for a, b in zip(u.tolist(), v.tolist())])
         if g.n == n and is_connected(g):
             return g

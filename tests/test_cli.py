@@ -139,6 +139,65 @@ def test_compare_failure_writes_nothing(workdir, monkeypatch, capsys):
     assert not d.exists()
 
 
+def test_compare_builds_each_backbone_graph_once(workdir, monkeypatch):
+    # descriptive_stats and the correlation grid share one graph object per
+    # backbone, and with it its cached distances
+    import importlib
+
+    from convexa import cli
+
+    netstats = importlib.import_module("convexa.netstats")
+    built = []
+
+    def counting(g, b):
+        built.append(b.kind)
+        return real(g, b)
+
+    real = cli.backbone_graph
+    monkeypatch.setattr(cli, "backbone_graph", counting)
+    monkeypatch.setattr(netstats, "backbone_graph", counting)
+    code = cli.main(["compare", "--input", str(workdir / "toc.tsv"), "--runs", "5",
+                     "--backbones", "skeleton,mst,betweenness,embeddedness",
+                     "--output-dir", str(workdir / "cmp_once")])
+    assert code == 0
+    assert len(built) == 4 and len(set(built)) == 4
+
+
+def test_skeleton_failed_write_leaves_no_file(workdir):
+    # the removal log and the primary output are written all or nothing
+    log = workdir / "sk_fail_log.csv"
+    r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "5",
+            "--removal-log", str(log), "--output", str(workdir / "nodir" / "out.tsv"))
+    assert r.returncode == 2
+    assert str(workdir / "nodir" / "out.tsv") in r.stderr
+    assert ".convexa-" not in r.stderr
+    assert not log.exists()
+    out = workdir / "sk_fail_out.tsv"
+    r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "5",
+            "--removal-log", str(workdir / "nodir" / "log.csv"), "--output", str(out))
+    assert r.returncode == 2
+    assert str(workdir / "nodir" / "log.csv") in r.stderr
+    assert not out.exists()
+    assert not (workdir / "sk_fail_out.tsv.meta.json").exists()
+    assert not [p for p in os.listdir(workdir) if p.startswith(".convexa-")]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_outputs_get_mode_from_umask(workdir, umask):
+    from convexa import cli
+
+    out = workdir / f"conv_mode_{umask:o}.csv"
+    old = os.umask(umask)
+    try:
+        code = cli.main(["convexity", "--input", str(workdir / "c4.tsv"), "--runs", "5",
+                         "--output", str(out)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    for path in (out, workdir / (out.name + ".meta.json")):
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_rank_limits_rows(workdir):
     out = workdir / "rank.csv"
     r = run("rank", "--input", str(workdir / "toc.tsv"), "--measure", "pagerank",

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from unittest import mock
 
@@ -17,7 +18,15 @@ from convexa import (
 )
 from convexa import graph as graph_module
 from convexa.synth import GeneratorSpec, Kind, generate
-from oracles import convex_hull_oracle, is_convex_oracle, random_graph
+from oracles import (
+    convex_hull_oracle,
+    expansion_run_loop,
+    hull_close_loop,
+    is_convex_oracle,
+    random_graph,
+)
+
+convexity_module = importlib.import_module("convexa.convexity")
 
 PATH3 = [("a", "b"), ("b", "c")]
 TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c")]
@@ -230,3 +239,86 @@ def test_convexity_checks_connectivity_once_per_graph():
         convexity(g, runs=10, seed=0)
         expansion_run(g, np.random.default_rng(0))
     assert labels.call_count == 1
+
+
+@st.composite
+def expansion_graphs(draw):
+    """Paths, C4, cliques, dense ER graphs and trees of cliques with chords
+    (n >= 2, connected)."""
+    kind = draw(st.sampled_from(["path", "c4", "clique", "dense_er", "toc_chords"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "c4":
+        return build_graph(C4)
+    if kind == "dense_er":
+        n, p = draw(st.integers(2, 16)), draw(st.floats(0.3, 0.8))
+        return random_graph(rng, n, p, connected=True)
+    if kind == "toc_chords":
+        params = {"cliques": draw(st.integers(2, 6)), "smin": 2, "smax": 5}
+        toc = generate(GeneratorSpec(Kind.TREE_OF_CLIQUES, params, seed=seed))
+        pairs = {toc.edge_ids(e) for e in range(toc.m)}
+        for _ in range(draw(st.integers(1, 4))):
+            u, v = sorted(rng.choice(list(toc.ids), 2, replace=False).tolist())
+            pairs.add((u, v))
+        return build_graph(sorted(pairs))
+    n = draw(st.integers(2, 16))
+    if kind == "clique":
+        return generate(GeneratorSpec(Kind.COMPLETE, {"n": n}))
+    return build_graph([(f"v{i - 1:03d}", f"v{i:03d}") for i in range(1, n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(expansion_graphs(), st.integers(1, 25), st.integers(0, 2**31),
+       st.sampled_from([1, 2, 7, None]))
+def test_lockstep_runs_match_loop_reference(g, runs, seed, per_block):
+    # per_block runs per block (None: the default budget), so that the runs
+    # split into blocks or share one
+    budget = (
+        convexity_module.RUN_BLOCK_ELEMENTS if per_block is None
+        else per_block * (g.n + g.m)
+    )
+    ref = np.zeros(g.n, dtype=np.int64)
+    for r in range(runs):
+        ref += np.array(expansion_run_loop(g, np.random.default_rng([seed, r])), dtype=np.int64)
+    with mock.patch.object(convexity_module, "RUN_BLOCK_ELEMENTS", budget):
+        rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
+        assert np.array_equal(convexity_module._expansion_totals(g, rngs), ref)
+        score = convexity(g, runs=runs, seed=seed)
+        with mock.patch.object(convexity_module, "_expansion_totals", lambda g, rngs: ref):
+            loop = convexity(g, runs=runs, seed=seed)
+    assert score.profile.s.tobytes() == (ref / (runs * g.n)).tobytes()
+    assert score.profile.s.tobytes() == loop.profile.s.tobytes()
+    assert score.x == loop.x
+    one = expansion_run(g, np.random.default_rng([seed, 0]))
+    assert one == expansion_run_loop(g, np.random.default_rng([seed, 0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_graphs(), st.data())
+def test_push_test_passes_iff_closure_adds_only_the_pushed_node(g, data):
+    # rows: S = the hull of random seeds and u a node outside S with a
+    # neighbour in S (a draw whose hull is the whole graph adds no row)
+    D = g.dist_matrix
+    indptr, indices, _ = g.csr
+    nodes = st.integers(0, g.n - 1)
+    rows, pushed = [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        seeds = data.draw(st.lists(nodes, min_size=1, max_size=3, unique=True))
+        members = hull_close_loop(D, np.zeros(g.n, dtype=bool), np.array(seeds, np.int32))
+        frontier = [
+            u for u in range(g.n)
+            if not members[u] and members[indices[indptr[u]:indptr[u + 1]]].any()
+        ]
+        if frontier:
+            rows.append(members)
+            pushed.append(data.draw(st.sampled_from(frontier)))
+    if not rows:
+        return
+    block = np.array(rows)
+    u = np.array(pushed, dtype=np.intp)
+    grows = convexity_module._push_grows(D, indptr, indices, block, u)
+    for r, (members, x) in enumerate(zip(rows, pushed)):
+        before = int(members.sum())
+        closed = hull_close_loop(D, members.copy(), np.array([x], np.int32))
+        assert grows[r] == (int(closed.sum()) > before + 1)
+    assert np.array_equal(block, np.array(rows))  # the test modifies nothing

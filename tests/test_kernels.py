@@ -1,5 +1,6 @@
 """Kernels must agree exactly with their loop references and oracles."""
 
+import importlib
 import itertools
 from unittest import mock
 
@@ -8,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 import convexa as cx
 from convexa import _kernels
-from convexa._kernels import _on_geodesics_direct, _on_geodesics_sweep
 from oracles import (
     bfs_all_loop,
     brandes_loop,
     common_neighbors_loop,
     convex_hull_oracle,
+    expansion_run_loop,
     hull_close_loop,
     random_gnm,
     random_graph,
 )
+
+convexity_module = importlib.import_module("convexa.convexity")
 
 
 def _graphs():
@@ -69,7 +72,9 @@ def test_hull_close_matches_loop_and_oracle(g, data):
         data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True)),
         np.int32,
     )
-    got = _kernels.hull_close(g.dist_matrix, g.adjacency, np.zeros(g.n, dtype=bool), seeds)
+    members = np.zeros((1, g.n), dtype=bool)
+    _kernels.hull_close(g.dist_matrix, g.adjacency, members, np.zeros_like(seeds), seeds)
+    got = members[0]
     ref = hull_close_loop(g.dist_matrix, np.zeros(g.n, dtype=bool), seeds)
     assert np.array_equal(got, ref)
     if g.n <= 12:
@@ -79,30 +84,62 @@ def test_hull_close_matches_loop_and_oracle(g, data):
 
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs(), st.data())
-def test_geodesic_tests_agree(g, data):
-    # both branches of hull_close answer the same question for any batch
-    # `new` inside any member set, whichever of them the sizes would pick
-    nodes = st.integers(0, g.n - 1)
-    mem = sorted(data.draw(st.lists(nodes, min_size=1, max_size=g.n, unique=True)))
-    new = np.array(data.draw(st.lists(st.sampled_from(mem), min_size=1, unique=True)), np.intp)
-    members = np.zeros(g.n, dtype=bool)
-    members[mem] = True
+def test_hull_close_rows_match_loop_per_row(g, data):
+    # several rows, each a closed set (the hull of random seeds, or empty)
+    # plus its own pushed batch, closed in one call; the pairs arrive in any
+    # row order, and at most n // 4 of them share a sweep, so on these small
+    # graphs a round takes one sweep or several
     D = g.dist_matrix
-    direct = _on_geodesics_direct(D, new, np.array(mem, np.intp))
-    sweep = _on_geodesics_sweep(D, g.adjacency, new, members)
-    assert np.array_equal(direct, sweep)
+    nodes = st.integers(0, g.n - 1)
+    k = data.draw(st.integers(1, 5))
+    members = np.zeros((k, g.n), dtype=bool)
+    for r in range(k):
+        seeds = data.draw(st.lists(nodes, max_size=4, unique=True))
+        if seeds:
+            hull_close_loop(D, members[r], np.array(seeds, np.int32))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, k - 1), nodes), min_size=1, unique=True))
+    rows = np.array([r for r, _ in pairs])
+    pushed = np.array([v for _, v in pairs])
+    ref = members.copy()
+    for r in range(k):
+        batch = pushed[rows == r].astype(np.int32)
+        if batch.size:
+            hull_close_loop(D, ref[r], batch)
+    _kernels.hull_close(D, g.adjacency, members, rows, pushed)
+    assert np.array_equal(members, ref)
+
+
+def _expansion_totals_loop(g, rngs):
+    return sum(np.array(expansion_run_loop(g, rng), dtype=np.int64) for rng in rngs)
 
 
 def test_convexity_profile_matches_loop_reference(monkeypatch):
     g = random_gnm(np.random.default_rng(60), 60, 240)
     kernel = cx.convexity(g, runs=8, seed=5)
-    monkeypatch.setattr(
-        _kernels, "hull_close",
-        lambda D, A, members, new_nodes: hull_close_loop(D, members, new_nodes),
-    )
+    monkeypatch.setattr(convexity_module, "_expansion_totals", _expansion_totals_loop)
     loop = cx.convexity(g, runs=8, seed=5)
     assert np.array_equal(kernel.profile.s, loop.profile.s)
     assert kernel.x == loop.x
+
+
+def _random_gnm_pair_list(rng, n, m):
+    # random_gnm as first written: index into the list of all pairs
+    labels = [f"v{i:03d}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    while True:
+        pick = rng.choice(len(pairs), size=m, replace=False)
+        g = cx.build_graph([(labels[pairs[k][0]], labels[pairs[k][1]]) for k in pick])
+        if g.n == n and cx.is_connected(g):
+            return g
+
+
+def test_random_gnm_decodes_pairs_like_the_pair_list():
+    for n, m in [(2, 1), (3, 2), (5, 6), (12, 20), (30, 60), (60, 240)]:
+        for seed in range(6):
+            a = random_gnm(np.random.default_rng(seed), n, m)
+            b = _random_gnm_pair_list(np.random.default_rng(seed), n, m)
+            assert a.ids == b.ids
+            assert np.array_equal(a.edge_idx, b.edge_idx)
 
 
 def _assert_brandes_matches_loop(g):

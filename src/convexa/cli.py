@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 I/O, 3 precondition violation, 4 numerical failure.
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -87,12 +88,18 @@ def csv_text(rows):
 def write_files(texts):
     """Write every {path: text}, or none of them.
 
-    Each text goes to a temporary file beside its path, and the temporary
-    files replace their paths only once all are written; on failure the
-    temporary files and any path created here are removed again.  Files get
-    mode 0o666 & ~umask, as open() would give them, and an I/O error names
-    the requested path.
+    A path that is a directory is refused before anything is written.  Each
+    text goes to a temporary file beside its path, and the temporary files
+    replace their paths only once all are written; on failure the temporary
+    files and any path created here are removed again.  Only new files are
+    strictly all or nothing: should a replace itself fail after others have
+    succeeded, the existing paths already replaced keep their new text.
+    Files get mode 0o666 & ~umask, as open() would give them, and an I/O
+    error names the requested path.
     """
+    for path in texts:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     mask = os.umask(0)
     os.umask(mask)
     staged = {}

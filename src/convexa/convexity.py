@@ -66,6 +66,14 @@ def is_convex(g: Graph, node_set) -> bool:
     return convex_hull(g, node_set) == node_set
 
 
+#: element budget of one block of runs: k runs advancing together hold about
+#: k * (n + m) elements (member rows, cut masks, the pushed nodes' own
+#: distance rows); the push test reads the distance rows of the pushed nodes'
+#: neighbours at most RUN_BLOCK_ELEMENTS // n at a time, since many rows may
+#: push the same hub
+RUN_BLOCK_ELEMENTS = 2**20
+
+
 def _push_grows(D, indptr, indices, members, u):
     """For each row r of the (k, n) block of convex sets `members` and a
     node u[r] outside it but adjacent to it: True iff the hull of the set
@@ -80,17 +88,15 @@ def _push_grows(D, indptr, indices, members, u):
     pos, owner = _kernels._arcs(indptr, u)
     w = indices[pos]
     out = ~members[owner, w]
+    w, owner = w[out], owner[out]
     closer = np.where(members, D[u] - 1, -2)
-    hit = (D[w[out]] == closer[owner[out]]).any(axis=1)
     grows = np.zeros(u.size, dtype=bool)
-    grows[owner[out][hit]] = True
+    step = max(1, RUN_BLOCK_ELEMENTS // D.shape[0])
+    for s in range(0, w.size, step):
+        o = owner[s:s + step]
+        hit = (D[w[s:s + step]] == closer[o]).any(axis=1)
+        grows[o[hit]] = True
     return grows
-
-
-#: element budget of one block of runs: k runs advancing together hold about
-#: k * (n + m) elements (member rows, cut masks, the pushed nodes' distance
-#: rows and arcs)
-RUN_BLOCK_ELEMENTS = 2**20
 
 
 def _expansion_block(g, rngs):

@@ -182,6 +182,24 @@ def test_skeleton_failed_write_leaves_no_file(workdir):
     assert not [p for p in os.listdir(workdir) if p.startswith(".convexa-")]
 
 
+def test_skeleton_log_path_a_directory_keeps_existing_output(workdir):
+    # the replace of the log would fail after the output's: it is refused first
+    out = workdir / "sk_keep.tsv"
+    meta = workdir / "sk_keep.tsv.meta.json"
+    out.write_text("old output\n")
+    meta.write_text("old meta\n")
+    logdir = workdir / "sk_keep_logdir"
+    logdir.mkdir()
+    r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "5",
+            "--removal-log", str(logdir), "--output", str(out))
+    assert r.returncode == 2
+    assert str(logdir) in r.stderr
+    assert out.read_text() == "old output\n"
+    assert meta.read_text() == "old meta\n"
+    assert not os.listdir(logdir)
+    assert not [p for p in os.listdir(workdir) if p.startswith(".convexa-")]
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
 def test_outputs_get_mode_from_umask(workdir, umask):
     from convexa import cli

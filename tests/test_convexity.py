@@ -322,3 +322,35 @@ def test_push_test_passes_iff_closure_adds_only_the_pushed_node(g, data):
         closed = hull_close_loop(D, members.copy(), np.array([x], np.int32))
         assert grows[r] == (int(closed.sum()) > before + 1)
     assert np.array_equal(block, np.array(rows))  # the test modifies nothing
+
+
+def test_push_test_reads_a_hub_pushed_by_many_rows_in_chunks():
+    # a star whose hub h is pushed by every row at once, plus z on the C4
+    # h-x-z-y; a budget of 3 distance rows per chunk splits the hub's arcs.
+    # Every fifth row is {x, z}, whose push of h pulls in y; the others are
+    # one leaf, whose push of h adds h alone
+    n = 40
+    g = build_graph([("h", f"l{i:02d}") for i in range(n)] + [("l00", "z"), ("l01", "z")])
+    D = g.dist_matrix
+    indptr, indices, _ = g.csr
+    hub = g.index["h"]
+    leaves = [g.index[f"l{i:02d}"] for i in range(n)]
+    block = np.zeros((len(leaves), g.n), dtype=bool)
+    block[np.arange(len(leaves)), leaves] = True
+    block[::5] = False
+    block[::5, leaves[0]] = True
+    block[::5, g.index["z"]] = True
+    u = np.full(len(leaves), hub, dtype=np.intp)
+    with mock.patch.object(convexity_module, "RUN_BLOCK_ELEMENTS", 3 * g.n):
+        grows = convexity_module._push_grows(D, indptr, indices, block, u)
+        rngs = [np.random.default_rng([5, r]) for r in range(30)]
+        totals = convexity_module._expansion_totals(g, rngs)
+    for r, members in enumerate(block):
+        closed = hull_close_loop(D, members.copy(), np.array([hub], np.int32))
+        assert grows[r] == (int(closed.sum()) > 2)
+    assert np.array_equal(np.flatnonzero(grows), np.arange(0, n, 5))
+    ref = sum(
+        np.array(expansion_run_loop(g, np.random.default_rng([5, r])), dtype=np.int64)
+        for r in range(30)
+    )
+    assert np.array_equal(totals, ref)

@@ -10,7 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, is_connected
+from .graph import Graph, find, is_connected
 from .skeleton import TieBreak
 
 
@@ -41,20 +41,14 @@ def maximum_spanning_tree(
     else:
         order = np.lexsort((g.edge_idx[:, 1], g.edge_idx[:, 0], -g.weights))
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    ends = g.edge_idx.tolist()
     chosen = []
-    for e in order:
-        u, v = int(g.edge_idx[e, 0]), int(g.edge_idx[e, 1])
-        ru, rv = find(u), find(v)
+    for e in order.tolist():
+        u, v = ends[e]
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
-            parent[ru] = rv
-            chosen.append(int(e))
+            parent[max(ru, rv)] = min(ru, rv)
+            chosen.append(e)
             if len(chosen) == g.n - 1:
                 break
     return Backbone(BackboneKind.MAX_SPANNING_TREE, frozenset(chosen))
@@ -98,11 +92,11 @@ def top_m_edge_backbone(
     """The m highest-scoring edges; ties broken lexicographically or at random."""
     if m < 1 or m > g.m:
         raise ConvexaError(f"m = {m} out of range 1 .. {g.m}")
-    vals = np.empty(g.m)
-    for edge, s in scores.items():
-        vals[g.edge_pos(*edge)] = s
-    if len(scores) != g.m:
+    pos = np.array([g.edge_pos(*edge) for edge in scores], dtype=np.int64)
+    if (np.bincount(pos, minlength=g.m) != 1).any():
         raise InputError("scores must cover every edge exactly once")
+    vals = np.empty(g.m)
+    vals[pos] = list(scores.values())
     if tie_break is TieBreak.RANDOM:
         rng = np.random.default_rng(seed)
         jitter = rng.permutation(g.m)

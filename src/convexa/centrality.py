@@ -81,17 +81,12 @@ def closeness(g: Graph) -> CentralityVector:
     """Reachable-set corrected closeness: ((r-1)/(n-1)) * ((r-1)/sum of distances)."""
     n = g.n
     D = g.dist_matrix
-    values = {}
-    for i in range(n):
-        row = D[i]
-        reach = row >= 0
-        r = int(reach.sum())  # includes i itself
-        if r <= 1 or n <= 1:
-            values[g.ids[i]] = 0.0
-            continue
-        total = int(row[reach].sum())
-        values[g.ids[i]] = ((r - 1) / (n - 1)) * ((r - 1) / total)
-    return CentralityVector(Measure.CLOSENESS, values)
+    r = (D >= 0).sum(axis=1)  # reachable nodes, the node itself included
+    # each of the n - r unreachable entries is a -1 sentinel in the row sum
+    total = D.sum(axis=1, dtype=np.int64) + (n - r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(r > 1, ((r - 1) / (n - 1)) * ((r - 1) / total), 0.0)
+    return CentralityVector(Measure.CLOSENESS, dict(zip(g.ids, vals.tolist())))
 
 
 def top_k(vec: CentralityVector, k: int):

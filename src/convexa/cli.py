@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict, fields
 
 from . import __version__
 from .backbones import (
@@ -40,7 +41,13 @@ from .coauthor import (
 from .convexity import convexity
 from .errors import ConvergenceError, ConvexaError, DisconnectedError, InputError
 from .graph import read_edge_tsv, write_edge_tsv
-from .netstats import MEASURES, centrality_values, correlation_matrix, descriptive_stats
+from .netstats import (
+    MEASURES,
+    StatsRecord,
+    centrality_values,
+    correlation_matrix,
+    descriptive_stats,
+)
 from .skeleton import (
     Objective,
     SkeletonResult,
@@ -131,14 +138,21 @@ def write_files(texts):
         raise
 
 
-def meta_text(subcommand, config):
+def with_meta(texts, subcommand, config):
+    """The {path: text} outputs, each followed by its `<path>.meta.json`
+    sidecar recording tool version, subcommand and config."""
     meta = {
         "tool": "convexa",
         "version": __version__,
         "subcommand": subcommand,
         "config": config,
     }
-    return json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    meta = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    files = {}
+    for path, text in texts.items():
+        files[path] = text
+        files[path + ".meta.json"] = meta
+    return files
 
 
 def emit(args, subcommand, config, csv_text, json_obj, extra=None):
@@ -148,33 +162,33 @@ def emit(args, subcommand, config, csv_text, json_obj, extra=None):
         text = json.dumps(json_obj, sort_keys=True, indent=2) + "\n"
     else:
         text = csv_text
-    files = {args.output: text, args.output + ".meta.json": meta_text(subcommand, config)}
-    write_files({**files, **(extra or {})})
-
-
-def _seed_default():
-    env = os.environ.get("CONVEXA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"CONVEXA_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
-
-
-def _load_graph(path):
-    return read_edge_tsv(path)
+    write_files({**with_meta({args.output: text}, subcommand, config), **(extra or {})})
 
 
 def _resolve_seed(args):
-    return args.seed if args.seed is not None else _seed_default()
+    """--seed, else $CONVEXA_SEED, else DEFAULT_SEED."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("CONVEXA_SEED")
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"CONVEXA_SEED must be an integer, got {env!r}")
+
+
+def _stat_rows(records):
+    """One CSV row per StatsRecord field, in field order: the field's name,
+    then its value in each record."""
+    return [[f.name, *(fmt(getattr(r, f.name)) for r in records)] for f in fields(StatsRecord)]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_convexity(args):
-    g = _load_graph(args.input)
+    g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
     score = convexity(g, runs=args.runs, seed=seed)
     rows = [["t", "s_t"]]
@@ -207,7 +221,7 @@ def _skeleton_of(g, args, seed):
 
 
 def cmd_skeleton(args):
-    g = _load_graph(args.input)
+    g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
     sk = _skeleton_of(g, args, seed)
     ef, wf = retained_weight_fraction(g, sk)
@@ -221,7 +235,7 @@ def cmd_skeleton(args):
         "seed": seed,
         "edge_fraction": ef,
         "weight_fraction": wf,
-        "skeleton_stats": _stats_dict(stats),
+        "skeleton_stats": asdict(stats),
     }
     removal_rows = [["step", "u", "v", "objective"]]
     for i, ((u, v), val) in enumerate(sk.removed, 1):
@@ -237,7 +251,7 @@ def cmd_skeleton(args):
             "removed": [[u, v, val] for (u, v), val in sk.removed],
             "edge_fraction": ef,
             "weight_fraction": wf,
-            "skeleton_stats": _stats_dict(stats),
+            "skeleton_stats": asdict(stats),
         },
         extra,
     )
@@ -268,7 +282,7 @@ def _make_backbone(g, kind, args, seed, sk=None):
 
 
 def cmd_backbone(args):
-    g = _load_graph(args.input)
+    g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
     kind = _BACKBONE_NAMES[args.kind]
     b = _make_backbone(g, kind, args, seed)
@@ -293,33 +307,8 @@ def cmd_backbone(args):
     return 0
 
 
-def _stats_dict(s):
-    return {
-        "nodes": s.nodes,
-        "edges": s.edges,
-        "pct_lcc": s.pct_lcc,
-        "mean_degree": s.mean_degree,
-        "mean_distance": s.mean_distance,
-        "assortativity": s.assortativity,
-        "clustering": s.clustering,
-        "convexity": s.convexity,
-    }
-
-
-_STAT_ROWS = (
-    "nodes",
-    "edges",
-    "pct_lcc",
-    "mean_degree",
-    "mean_distance",
-    "assortativity",
-    "clustering",
-    "convexity",
-)
-
-
 def cmd_compare(args):
-    g = _load_graph(args.input)
+    g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
     kinds = [k.strip() for k in args.backbones.split(",") if k.strip()]
     for k in kinds:
@@ -333,9 +322,7 @@ def cmd_compare(args):
         sub = backbone_graph(g, b)
         backbones[name] = b, sub
         columns[name] = descriptive_stats(sub, convexity_runs=args.runs, seed=seed)
-    rows = [["statistic", *columns]]
-    for row in _STAT_ROWS:
-        rows.append([row] + [fmt(getattr(columns[c], row)) for c in columns])
+    rows = [["statistic", *columns], *_stat_rows(columns.values())]
     # every file's text is ready before the first write: all or nothing
     texts = {"stats.csv": csv_text(rows)}
     full = centrality_values(g) if backbones else None
@@ -358,18 +345,14 @@ def cmd_compare(args):
         "tie_break": args.tie_break,
     }
     os.makedirs(args.output_dir, exist_ok=True)
-    files = {}
-    for name, text in texts.items():
-        path = os.path.join(args.output_dir, name)
-        files[path] = text
-        files[path + ".meta.json"] = meta_text("compare", config)
-    write_files(files)
+    paths = {os.path.join(args.output_dir, name): text for name, text in texts.items()}
+    write_files(with_meta(paths, "compare", config))
     print(f"compare: wrote stats.csv and {len(backbones)} correlation file(s) to {args.output_dir}")
     return 0
 
 
 def cmd_centrality(args):
-    g = _load_graph(args.input)
+    g = read_edge_tsv(args.input)
     measures = (
         list(MEASURES)
         if args.measure == "all"
@@ -391,7 +374,7 @@ def cmd_centrality(args):
 
 
 def cmd_rank(args):
-    g = _load_graph(args.input)
+    g = read_edge_tsv(args.input)
     vec = compute(g, _MEASURE_BY_NAME[args.measure])
     ranked = top_k(vec, args.top)
     rows = [["rank", "node", "value"]]
@@ -440,7 +423,9 @@ def cmd_buildnet(args):
 
 
 def _skeleton_from_tsv(g, path):
-    """Rebuild a kept-edge set from a `u v w flag` TSV written by `skeleton`."""
+    """Rebuild a kept-edge set from a `u v w flag` TSV written by `skeleton`,
+    which must list every edge of g exactly once, in either orientation."""
+    seen = set()
     kept = set()
     removed = []
     with open(path, encoding="utf-8") as fh:
@@ -453,11 +438,14 @@ def _skeleton_from_tsv(g, path):
                 raise InputError(f"{path}: expected 4 tab-separated fields")
             u, v, _, flag = parts
             e = g.edge_pos(u, v)
+            if e in seen:
+                raise InputError(f"{path}: edge ({u!r}, {v!r}) is listed twice")
+            seen.add(e)
             if flag == "1":
                 kept.add(e)
             else:
                 removed.append(((u, v), float("nan")))
-    if len(kept) + len(removed) != g.m:
+    if len(seen) != g.m:
         raise InputError(f"{path}: skeleton file does not cover the graph's edges")
     return SkeletonResult(
         kept=frozenset(kept),
@@ -468,7 +456,7 @@ def _skeleton_from_tsv(g, path):
 
 
 def cmd_distributions(args):
-    g = _load_graph(args.input)
+    g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
     if args.skeleton:
         sk = _skeleton_from_tsv(g, args.skeleton)
@@ -543,14 +531,12 @@ def cmd_generate(args):
 
 
 def cmd_stats(args):
-    g = _load_graph(args.input)
+    g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
     s = descriptive_stats(g, convexity_runs=args.runs, seed=seed)
-    rows = [["statistic", "value"]]
-    for row in _STAT_ROWS:
-        rows.append([row, fmt(getattr(s, row))])
+    rows = [["statistic", "value"], *_stat_rows([s])]
     config = {"input": args.input, "runs": args.runs, "seed": seed}
-    emit(args, "stats", config, csv_text(rows), _stats_dict(s))
+    emit(args, "stats", config, csv_text(rows), asdict(s))
     return 0
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, biconnected_edge_blocks, is_connected
+from .graph import Graph, is_clique, is_connected
 
 
 @dataclass(frozen=True)
@@ -210,9 +210,4 @@ def convexity(g: Graph, runs: int = 100, *, seed: int) -> ConvexityScore:
 def is_tree_of_cliques(g: Graph) -> bool:
     """True iff every biconnected block is a complete subgraph."""
     _require_connected(g)
-    pairs = g.edge_idx.tolist()
-    for block in biconnected_edge_blocks(g.n, g.edge_idx):
-        k = len({x for e in block for x in pairs[e]})
-        if len(block) != k * (k - 1) // 2:
-            return False
-    return True
+    return all(is_clique(g.edge_idx, block) for block in g.blocks)

@@ -109,9 +109,23 @@ class Graph:
         return A
 
     @cached_property
+    def labels(self):
+        """Per-node component label, the smallest node index of its
+        component; int64, read-only."""
+        labels = component_labels(self)
+        labels.flags.writeable = False
+        return labels
+
+    @cached_property
+    def blocks(self):
+        """Biconnected blocks as tuples of edge positions (see
+        `biconnected_edge_blocks`), decomposed once per graph."""
+        return tuple(map(tuple, biconnected_edge_blocks(self.n, self.edge_idx)))
+
+    @cached_property
     def connected(self):
         """True iff the graph has at most one node or one component."""
-        return self.n <= 1 or len(np.unique(component_labels(self))) == 1
+        return not self.labels.any()
 
     @cached_property
     def total_weight(self):
@@ -198,30 +212,30 @@ def bfs_distances(g, source):
 
 def connected_components(g):
     """Node partition, largest component first, ties by smallest member id."""
-    labels = component_labels(g)
     comps = {}
-    for i, lab in enumerate(labels):
+    for i, lab in enumerate(g.labels.tolist()):
         comps.setdefault(lab, set()).add(g.ids[i])
     return sorted(comps.values(), key=lambda c: (-len(c), min(c)))
 
 
+def find(parent, x):
+    """Root of x in the union-find forest `parent` (a list), halving the
+    path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def component_labels(g):
-    """Array of component labels (root index), via union-find over edges."""
-    parent = np.arange(g.n)
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for u, v in g.edge_idx:
-        ru, rv = find(int(u)), find(int(v))
+    """Component label per node, the smallest node index of its component:
+    union-find over the edges, each union keeping the smaller root."""
+    parent = list(range(g.n))
+    for u, v in g.edge_idx.tolist():
+        ru, rv = find(parent, u), find(parent, v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
-    return np.array([find(i) for i in range(g.n)])
+    return np.array([find(parent, i) for i in range(g.n)], dtype=np.int64)
 
 
 def is_connected(g):
@@ -285,13 +299,19 @@ def biconnected_edge_blocks(n, edge_idx):
 
 def biconnected_components(g):
     """Blocks as frozensets of (u_id, v_id) edges."""
-    blocks = biconnected_edge_blocks(g.n, g.edge_idx)
-    return [frozenset(g.edge_ids(e) for e in blk) for blk in blocks]
+    return [frozenset(g.edge_ids(e) for e in blk) for blk in g.blocks]
 
 
 def bridges(g):
     """Edge positions of all bridges (singleton blocks)."""
-    return {blk[0] for blk in biconnected_edge_blocks(g.n, g.edge_idx) if len(blk) == 1}
+    return {blk[0] for blk in g.blocks if len(blk) == 1}
+
+
+def is_clique(edge_idx, block):
+    """True iff the edges at positions `block` of `edge_idx` are every pair
+    of the nodes they touch."""
+    k = len(set(edge_idx[np.asarray(block)].ravel().tolist()))
+    return len(block) == k * (k - 1) // 2
 
 
 def is_bridge(g, edge):

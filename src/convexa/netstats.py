@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -10,7 +11,7 @@ from .backbones import Backbone, backbone_graph
 from .centrality import Measure, compute
 from .convexity import convexity
 from .errors import ConvexaError, InputError
-from .graph import Graph, component_labels
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -75,38 +76,31 @@ def assortativity(g: Graph) -> Optional[float]:
 
 def largest_component_graph(g: Graph):
     """(subgraph induced on the LCC, LCC node fraction); a connected graph
-    is its own LCC."""
+    is its own LCC.  Of equal largest components, the one holding the
+    smallest node id wins."""
     if g.connected:
         return g, 1.0
-    labels = component_labels(g)
-    vals, counts = np.unique(labels, return_counts=True)
-    best = counts.max()
-    # ties: smallest member id = smallest root index (ids are sorted)
-    lab = min(int(v) for v, c in zip(vals, counts) if c == best)
-    keep = np.flatnonzero(labels == lab)
-    remap = {int(old): new for new, old in enumerate(keep)}
-    keep_set = set(remap)
-    sub_edges = []
-    sub_w = []
-    for e in range(g.m):
-        u, v = int(g.edge_idx[e, 0]), int(g.edge_idx[e, 1])
-        if u in keep_set:
-            sub_edges.append((remap[u], remap[v]))
-            sub_w.append(g.weights[e])
-    ids = tuple(g.ids[i] for i in keep)
-    edge_idx = (
-        np.array(sub_edges, np.int32) if sub_edges else np.empty((0, 2), np.int32)
+    # labels are each component's smallest node index, and ids are sorted,
+    # so argmax's first maximum is the tied component with the smallest id
+    vals, counts = np.unique(g.labels, return_counts=True)
+    keep = g.labels == vals[np.argmax(counts)]
+    # a monotone renumbering keeps the edges lexsorted
+    new_index = (np.cumsum(keep) - 1).astype(np.int32)
+    sub_e = keep[g.edge_idx[:, 0]]
+    sub = Graph(
+        tuple(compress(g.ids, keep.tolist())),
+        new_index[g.edge_idx[sub_e]],
+        g.weights[sub_e],
     )
-    sub = Graph(ids, edge_idx, np.array(sub_w, np.float64))
-    return sub, len(keep) / g.n
+    return sub, sub.n / g.n
 
 
 def mean_distance(g: Graph) -> float:
     """Mean hop distance over the node pairs of a connected graph."""
     if g.n < 2:
         return 0.0
-    iu = np.triu_indices(g.n, k=1)
-    return float(g.dist_matrix[iu].mean())
+    # each pair counted twice, exactly: the integer sum is below 2**53
+    return int(g.dist_matrix.sum(dtype=np.int64)) / (g.n * (g.n - 1))
 
 
 def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int = 0) -> StatsRecord:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels import _arcs
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, biconnected_edge_blocks, is_connected
+from .graph import Graph, biconnected_edge_blocks, is_clique, is_connected
 
 
 class Objective(Enum):
@@ -83,7 +83,8 @@ class _LiveGraph:
         self.members = {}
         self.nonclique = set()
         self._next_label = 0
-        self._decompose(np.arange(m))
+        # the graph is connected, so its own blocks need no renumbering
+        self._label_blocks(np.asarray(blk, dtype=np.int64) for blk in g.blocks)
 
     def _weight_sum(self, e, inv):
         # summed in ascending w, the order of a merge over sorted CSR rows
@@ -101,15 +102,18 @@ class _LiveGraph:
         seen = np.zeros(self.n, dtype=bool)
         seen[ends] = True
         local = (np.cumsum(seen) - 1)[ends]
-        for blk in biconnected_edge_blocks(int(seen.sum()), local):
-            pos = edges[blk]
+        blocks = biconnected_edge_blocks(int(seen.sum()), local)
+        self._label_blocks(edges[blk] for blk in blocks)
+
+    def _label_blocks(self, blocks):
+        """Give each block, an array of edge positions, a fresh label."""
+        for pos in blocks:
             label = self._next_label
             self._next_label += 1
             self.block[pos] = label
             self.members[label] = pos
             self.bridge[pos] = len(pos) == 1
-            k = len(set(local[blk].ravel().tolist()))
-            if len(pos) != k * (k - 1) // 2:
+            if not is_clique(self.edge_idx, pos):
                 self.nonclique.add(label)
 
     def objective_after_removal(self):

@@ -425,6 +425,93 @@ def pagerank_eig_oracle(g, damping=0.85):
     return {g.ids[i]: float(v[i]) for i in range(n)}
 
 
+def component_labels_loop(g):
+    """Union-find over the edges on a numpy parent array, each union keeping
+    the smaller root: every node's label is its component's smallest index."""
+    parent = np.arange(g.n)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for u, v in g.edge_idx:
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    return np.array([find(i) for i in range(g.n)])
+
+
+def largest_component_loop(g):
+    """(LCC as (ids, edge_idx, weights), node fraction) by a node remap dict
+    and one pass over the edges; ties go to the smallest member id."""
+    labels = component_labels_loop(g)
+    vals, counts = np.unique(labels, return_counts=True)
+    best = counts.max()
+    lab = min(int(v) for v, c in zip(vals, counts) if c == best)
+    keep = np.flatnonzero(labels == lab)
+    remap = {int(old): new for new, old in enumerate(keep)}
+    sub_edges = []
+    sub_w = []
+    for e in range(g.m):
+        u, v = int(g.edge_idx[e, 0]), int(g.edge_idx[e, 1])
+        if u in remap:
+            sub_edges.append((remap[u], remap[v]))
+            sub_w.append(g.weights[e])
+    ids = tuple(g.ids[i] for i in keep)
+    edge_idx = np.array(sub_edges, np.int32) if sub_edges else np.empty((0, 2), np.int32)
+    return (ids, edge_idx, np.array(sub_w, np.float64)), len(keep) / g.n
+
+
+def mean_distance_triu(D):
+    """Mean of the upper triangle of a distance matrix (n >= 2)."""
+    iu = np.triu_indices(D.shape[0], k=1)
+    return float(D[iu].mean())
+
+
+def closeness_loop(g):
+    """Reachable-set corrected closeness, one distance row at a time."""
+    n = g.n
+    D = g.dist_matrix
+    values = {}
+    for i in range(n):
+        row = D[i]
+        reach = row >= 0
+        r = int(reach.sum())
+        if r <= 1 or n <= 1:
+            values[g.ids[i]] = 0.0
+            continue
+        total = int(row[reach].sum())
+        values[g.ids[i]] = ((r - 1) / (n - 1)) * ((r - 1) / total)
+    return values
+
+
+def maximum_spanning_tree_loop(g, order):
+    """Kruskal's chosen edge positions over the edge `order`, with a nested
+    path-halving find and each union hanging the first root on the second."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    for e in order:
+        u, v = int(g.edge_idx[e, 0]), int(g.edge_idx[e, 1])
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.append(int(e))
+            if len(chosen) == g.n - 1:
+                break
+    return frozenset(chosen)
+
+
 def random_graph(rng, n, p, connected=False, weighted=False):
     """Seeded random graph over zero-padded string ids (build_graph records)."""
     from convexa import build_graph
@@ -465,3 +552,24 @@ def random_gnm(rng, n, m):
         g = build_graph([(labels[a], labels[b]) for a, b in zip(u.tolist(), v.tolist())])
         if g.n == n and is_connected(g):
             return g
+
+
+def random_corpus(rng, count):
+    """`count` seeded weighted graphs with n from 1 to 40, connected or not;
+    every third is two disjoint copies of one graph on interleaved ids
+    (`v007` and `v007b`), so its largest components tie."""
+    from convexa import build_graph
+
+    graphs = []
+    for k in range(count):
+        n = int(rng.integers(1, 41))
+        g = random_graph(rng, n, float(rng.uniform(0.02, 0.4)), weighted=True)
+        if k % 3 == 2:
+            records = []
+            for e in range(g.m):
+                u, v = g.edge_ids(e)
+                w = float(g.weights[e])
+                records += [(u, v, w), (u + "b", v + "b", w)]
+            g = build_graph(records, isolated_nodes=[*g.ids, *(i + "b" for i in g.ids)])
+        graphs.append(g)
+    return graphs

@@ -6,6 +6,7 @@ import pytest
 from convexa import (
     BackboneKind,
     ConvexaError,
+    InputError,
     backbone_graph,
     build_graph,
     connected_components,
@@ -20,6 +21,7 @@ from convexa.skeleton import TieBreak
 from oracles import (
     edge_betweenness_oracle,
     max_spanning_tree_weight_oracle,
+    maximum_spanning_tree_loop,
     random_graph,
 )
 
@@ -130,3 +132,25 @@ def test_top_m_random_tie_break_deterministic():
     a = top_m_edge_backbone(g, scores, 5, tie_break=TieBreak.RANDOM, seed=4)
     b = top_m_edge_backbone(g, scores, 5, tie_break=TieBreak.RANDOM, seed=4)
     assert a.edges == b.edges
+
+
+def test_mst_matches_the_nested_find_loop():
+    rng = np.random.default_rng(75)
+    for _ in range(20):
+        g = random_graph(rng, int(rng.integers(2, 30)), 0.3, connected=True, weighted=True)
+        order = np.lexsort((g.edge_idx[:, 1], g.edge_idx[:, 0], -g.weights))
+        assert maximum_spanning_tree(g).edges == maximum_spanning_tree_loop(g, order)
+        seed = int(rng.integers(1000))
+        perm = np.random.default_rng(seed).permutation(g.m)
+        order = perm[np.argsort(-g.weights[perm], kind="stable")]
+        b = maximum_spanning_tree(g, tie_break=TieBreak.RANDOM, seed=seed)
+        assert b.edges == maximum_spanning_tree_loop(g, order)
+
+
+def test_top_m_rejects_scores_that_repeat_or_miss_an_edge():
+    path = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
+    twice = {("a", "b"): 1.0, ("b", "a"): 2.0, ("c", "d"): 0.5}  # (b, c) missing
+    with pytest.raises(InputError, match="exactly once"):
+        top_m_edge_backbone(path, twice, 2)
+    with pytest.raises(InputError, match="exactly once"):
+        top_m_edge_backbone(path, {("a", "b"): 1.0, ("b", "c"): 2.0}, 2)

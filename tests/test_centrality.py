@@ -13,7 +13,13 @@ from convexa import (
     top_k,
 )
 from convexa.centrality import Measure, compute
-from oracles import betweenness_oracle, pagerank_eig_oracle, random_graph
+from oracles import (
+    betweenness_oracle,
+    closeness_loop,
+    pagerank_eig_oracle,
+    random_corpus,
+    random_graph,
+)
 
 STAR4 = [("c", "l1"), ("c", "l2"), ("c", "l3")]
 
@@ -162,3 +168,10 @@ def test_pagerank_matches_scipy_matvec_bit_for_bit():
                 break
         got = pagerank(g).values
         assert [got[v] for v in g.ids] == p.tolist()
+
+
+def test_closeness_matches_the_loop_bit_for_bit():
+    for g in random_corpus(np.random.default_rng(74), 60):
+        vals = closeness(g).values
+        assert list(vals.items()) == list(closeness_loop(g).items())
+        assert all(type(v) is float for v in vals.values())

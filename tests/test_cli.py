@@ -336,6 +336,18 @@ def test_distributions_same_category(workdir):
     assert out.read_text().startswith("category,skeleton_weight,remainder_weight")
 
 
+def test_distributions_rejects_skeleton_listing_an_edge_twice(workdir):
+    (workdir / "path4.tsv").write_text("a\tb\nb\tc\nc\td\n")
+    sk = workdir / "sk_twice.tsv"
+    sk.write_text("a\tb\t1\t1\nb\ta\t1\t0\nb\tc\t1\t1\n")  # (c, d) missing
+    out = workdir / "dist_twice.csv"
+    r = run("distributions", "--input", str(workdir / "path4.tsv"), "--skeleton", str(sk),
+            "--authors", str(workdir / "authors.csv"), "--expr", "SAME(gender)",
+            "--output", str(out))
+    assert r.returncode == 3 and "listed twice" in r.stderr
+    assert not out.exists()
+
+
 def test_generate_deterministic_bytes(workdir):
     a, b = workdir / "g1.tsv", workdir / "g2.tsv"
     for out in (a, b):

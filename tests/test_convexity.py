@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import itertools
 from unittest import mock
@@ -13,6 +14,7 @@ from convexa import (
     convex_hull,
     convexity,
     expansion_run,
+    extract_convex_skeleton,
     is_convex,
     is_tree_of_cliques,
 )
@@ -27,6 +29,7 @@ from oracles import (
 )
 
 convexity_module = importlib.import_module("convexa.convexity")
+skeleton_module = importlib.import_module("convexa.skeleton")
 
 PATH3 = [("a", "b"), ("b", "c")]
 TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c")]
@@ -239,6 +242,29 @@ def test_convexity_checks_connectivity_once_per_graph():
         convexity(g, runs=10, seed=0)
         expansion_run(g, np.random.default_rng(0))
     assert labels.call_count == 1
+
+
+def test_whole_graph_blocks_are_decomposed_once_per_graph():
+    g = random_graph(np.random.default_rng(5), 14, 0.35, connected=True)
+    g = build_graph([g.edge_ids(e) for e in range(g.m)])  # fresh: nothing cached
+    real = graph_module.biconnected_edge_blocks
+    whole = []
+
+    def counting(n, edge_idx):
+        # the skeleton also decomposes the pieces of a split block
+        if n == g.n and np.array_equal(edge_idx, g.edge_idx):
+            whole.append(n)
+        return real(n, edge_idx)
+
+    modules = [m for m in (graph_module, convexity_module, skeleton_module)
+               if hasattr(m, "biconnected_edge_blocks")]
+    with contextlib.ExitStack() as stack:
+        for m in modules:
+            stack.enter_context(mock.patch.object(m, "biconnected_edge_blocks", counting))
+        sk = extract_convex_skeleton(g)
+        convexity(g, runs=5, seed=0)
+        is_tree_of_cliques(g)
+    assert sk.removed and len(whole) == 1
 
 
 @st.composite

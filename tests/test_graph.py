@@ -14,7 +14,8 @@ from convexa import (
     read_edge_tsv,
     write_edge_tsv,
 )
-from oracles import random_graph
+from convexa.graph import component_labels
+from oracles import component_labels_loop, random_corpus, random_graph
 
 
 def test_duplicate_records_merge_by_weight_sum():
@@ -169,3 +170,17 @@ def test_tsv_bad_weight(tmp_path):
     p.write_text("a\tb\tnotanumber\n")
     with pytest.raises(InputError):
         read_edge_tsv(p)
+
+
+def test_labels_match_the_loop_on_random_graphs():
+    for g in random_corpus(np.random.default_rng(71), 60):
+        labels = component_labels_loop(g)
+        assert g.labels.tolist() == labels.tolist()
+        assert g.connected == (len(set(labels.tolist())) <= 1)
+
+
+def test_labels_are_each_components_smallest_index():
+    g = build_graph([("d", "b"), ("c", "e"), ("e", "a")], isolated_nodes=["f"])
+    # a b c d e f -> {a, c, e} = 0, {b, d} = 1, {f} = 5
+    assert component_labels(g).tolist() == [0, 1, 0, 1, 0, 5]
+    assert not g.connected

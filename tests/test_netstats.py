@@ -22,8 +22,8 @@ from convexa import (
     spearman_rho,
 )
 from convexa import _kernels
-from convexa.netstats import average_ranks
-from oracles import random_graph
+from convexa.netstats import average_ranks, largest_component_graph, mean_distance
+from oracles import largest_component_loop, mean_distance_triu, random_corpus, random_graph
 
 C4 = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
 PAW = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]
@@ -181,3 +181,26 @@ def test_correlation_matrix_identity_backbone():
     for i in range(4):
         assert grid[i][i].rho == 1.0
         assert grid[i][i].tau == 1.0
+
+
+def test_largest_component_matches_the_loop_bit_for_bit():
+    for g in random_corpus(np.random.default_rng(72), 60):
+        sub, frac = largest_component_graph(g)
+        (ids, edge_idx, weights), want = largest_component_loop(g)
+        assert sub.ids == ids and frac == want
+        assert sub.edge_idx.dtype == edge_idx.dtype and sub.edge_idx.shape == edge_idx.shape
+        assert sub.edge_idx.tobytes() == edge_idx.tobytes()
+        assert sub.weights.tobytes() == weights.tobytes()
+
+
+def test_largest_component_tie_goes_to_the_smallest_member_id():
+    g = build_graph([("b", "d"), ("d", "f"), ("a", "c"), ("c", "e")])
+    sub, frac = largest_component_graph(g)
+    assert sub.ids == ("a", "c", "e") and frac == 0.5
+    assert [sub.edge_ids(e) for e in range(sub.m)] == [("a", "c"), ("c", "e")]
+
+
+def test_mean_distance_matches_the_triangle_mean_bit_for_bit():
+    for g in random_corpus(np.random.default_rng(73), 60):
+        if g.n >= 2:
+            assert mean_distance(g) == mean_distance_triu(g.dist_matrix)

@@ -40,7 +40,7 @@ from .coauthor import (
 )
 from .convexity import convexity
 from .errors import ConvergenceError, ConvexaError, DisconnectedError, InputError
-from .graph import read_edge_tsv, write_edge_tsv
+from .graph import open_text, read_edge_tsv, write_edge_tsv
 from .netstats import (
     MEASURES,
     StatsRecord,
@@ -428,7 +428,7 @@ def _skeleton_from_tsv(g, path):
     seen = set()
     kept = set()
     removed = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -458,17 +458,16 @@ def _skeleton_from_tsv(g, path):
 def cmd_distributions(args):
     g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
+    expr = parse_expr(args.expr)
+    # bad bin flags are refused even where SAME's category bins ignore them
+    binning = Binning(width=args.bin_width, origin=args.bin_origin)
+    if expr.kind == "SAME":
+        binning = Binning()
     if args.skeleton:
         sk = _skeleton_from_tsv(g, args.skeleton)
     else:
         sk = _skeleton_of(g, args, seed)
     authors = read_authors_csv(args.authors)
-    expr = parse_expr(args.expr)
-    binning = (
-        Binning(width=args.bin_width, origin=args.bin_origin)
-        if expr.kind != "SAME" and args.bin_width
-        else Binning()
-    )
     rep = distribution_report(g, sk, expr, authors, binning)
     numeric = binning.width is not None
     rows = [
@@ -543,10 +542,13 @@ def cmd_stats(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p, output=True):
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: $CONVEXA_SEED or 42)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+def _add_common(p, seed=True, output=True):
+    """--seed where the subcommand draws random numbers; --format and
+    --output where it writes one primary artifact."""
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="master RNG seed (default: $CONVEXA_SEED or 42)")
     if output:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", required=True, help="output file path")
 
 
@@ -595,14 +597,14 @@ def build_parser():
     p = sub.add_parser("centrality", help="centrality values for all nodes")
     p.add_argument("--input", required=True)
     p.add_argument("--measure", choices=["all"] + sorted(_MEASURE_BY_NAME), default="all")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_centrality)
 
     p = sub.add_parser("rank", help="top-k nodes by one measure")
     p.add_argument("--input", required=True)
     p.add_argument("--measure", choices=sorted(_MEASURE_BY_NAME), required=True)
     p.add_argument("--top", type=int, default=20)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("buildnet", help="co-authorship network from publication records")
@@ -611,7 +613,7 @@ def build_parser():
     p.add_argument("--scheme", choices=sorted(_SCHEMES), default="fractional")
     p.add_argument("--year-min", type=int, default=None)
     p.add_argument("--year-max", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_buildnet)
 
     p = sub.add_parser("distributions", help="skeleton-vs-remainder attribute distributions")

@@ -7,11 +7,12 @@ distribution machinery.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConvexaError, InputError
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, open_text
 from .skeleton import SkeletonResult, remainder, skeleton_graph
 
 #: marker for attribute values that cannot be derived
@@ -115,6 +116,8 @@ def edge_attribute(expr: AttrExpr, edge, authors: dict):
         return MISSING
     if expr.kind == "SAME":
         return au == av
+    if isinstance(au, str) or isinstance(av, str):
+        raise InputError(f"{expr} needs numbers, got {au!r} and {av!r}")
     au, av = float(au), float(av)
     if expr.kind == "MEAN":
         return (au + av) / 2.0
@@ -134,12 +137,19 @@ class Binning:
     width: float = None
     origin: float = 0.0
 
+    def __post_init__(self):
+        if self.width is not None and not (math.isfinite(self.width) and self.width > 0):
+            raise ConvexaError(f"bin width must be positive and finite, got {self.width!r}")
+        if not math.isfinite(self.origin):
+            raise ConvexaError(f"bin origin must be finite, got {self.origin!r}")
+
     def key(self, value):
         if self.width is None:
             return value
-        import math
-
-        return int(math.floor((value - self.origin) / self.width))
+        k = (value - self.origin) / self.width
+        if not math.isfinite(k):  # a width so small that the quotient overflows
+            raise ConvexaError(f"value {value!r} has no bin of width {self.width!r}")
+        return int(math.floor(k))
 
     def bounds(self, key):
         if self.width is None:
@@ -160,8 +170,6 @@ class DistributionReport:
 def distribution_report(
     g: Graph, sk: SkeletonResult, expr: AttrExpr, authors: dict, binning: Binning
 ) -> DistributionReport:
-    if binning.width is not None and binning.width <= 0:
-        raise ConvexaError("bin width must be positive")
     parts = {"sk": skeleton_graph(g, sk), "re": remainder(g, sk)}
     acc = {"sk": {}, "re": {}}
     miss = {"sk": 0.0, "re": 0.0}
@@ -195,7 +203,23 @@ def _maybe_number(text):
         f = float(text)
     except ValueError:
         return text
-    return int(f) if f == int(f) else f
+    if not math.isfinite(f):
+        return text  # "nan" and "inf" are no values to bin or compare
+    return int(f) if f.is_integer() else f
+
+
+def _csv_rows(path, columns):
+    """The rows of a CSV file as dicts.  InputError when its header lacks
+    one of `columns` (an empty file has no header) or a row holds more
+    fields than the header."""
+    with open_text(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if not set(columns) <= set(reader.fieldnames or ()):
+            raise InputError(f"{path}: need column(s) {','.join(columns)}")
+        for row in reader:
+            if None in row:
+                raise InputError(f"{path}:{reader.line_num}: more fields than the header")
+            yield row
 
 
 def read_papers_csv(links_path, meta_path=None):
@@ -206,26 +230,20 @@ def read_papers_csv(links_path, meta_path=None):
     """
     authors_by_paper = {}
     order = []
-    with open(links_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if "paper_id" not in reader.fieldnames or "author_id" not in reader.fieldnames:
-            raise InputError(f"{links_path}: need columns paper_id,author_id")
-        for row in reader:
-            pid = row["paper_id"]
-            if pid not in authors_by_paper:
-                authors_by_paper[pid] = []
-                order.append(pid)
-            authors_by_paper[pid].append(row["author_id"])
+    for row in _csv_rows(links_path, ("paper_id", "author_id")):
+        pid, author = row["paper_id"], row["author_id"]
+        if pid is None or author is None:
+            raise InputError(f"{links_path}: a row has no paper_id or no author_id field")
+        if pid not in authors_by_paper:
+            authors_by_paper[pid] = []
+            order.append(pid)
+        authors_by_paper[pid].append(author)
     meta = {}
     if meta_path:
-        with open(meta_path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if "paper_id" not in reader.fieldnames:
-                raise InputError(f"{meta_path}: need a paper_id column")
-            for row in reader:
-                meta[row["paper_id"]] = {
-                    k: _maybe_number(v) for k, v in row.items() if k != "paper_id"
-                }
+        for row in _csv_rows(meta_path, ("paper_id",)):
+            meta[row["paper_id"]] = {
+                k: _maybe_number(v) for k, v in row.items() if k != "paper_id"
+            }
     return [
         PaperRecord(pid, tuple(authors_by_paper[pid]), meta.get(pid, {}))
         for pid in order
@@ -235,14 +253,10 @@ def read_papers_csv(links_path, meta_path=None):
 def read_authors_csv(path):
     """Author attribute table: header row names attributes, `author_id` keys it."""
     table = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if "author_id" not in reader.fieldnames:
-            raise InputError(f"{path}: need an author_id column")
-        for row in reader:
-            table[row["author_id"]] = {
-                k: _maybe_number(v) for k, v in row.items() if k != "author_id"
-            }
+    for row in _csv_rows(path, ("author_id",)):
+        table[row["author_id"]] = {
+            k: _maybe_number(v) for k, v in row.items() if k != "author_id"
+        }
     return table
 
 
@@ -250,6 +264,8 @@ def filter_years(papers, year_min=None, year_max=None):
     out = []
     for p in papers:
         y = p.attrs.get("year")
+        if isinstance(y, str) and (year_min is not None or year_max is not None):
+            raise InputError(f"paper {p.paper_id!r}: year {y!r} is not a number")
         if year_min is not None and (y is None or y < year_min):
             continue
         if year_max is not None and (y is None or y > year_max):

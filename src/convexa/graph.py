@@ -7,6 +7,7 @@ tie-break order used throughout the library.  Edges are canonical
 weights and self-loops are dropped (counted).
 """
 
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -324,9 +325,20 @@ def is_bridge(g, edge):
 # ---------------------------------------------------------------------------
 # edge-list TSV I/O
 
+def open_text(path, newline=None):
+    """The UTF-8 text of `path` as a file object, with `newline` as for
+    open(); a byte that is not UTF-8 raises InputError naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_edge_tsv(path):
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -20,7 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import _arcs
 from .errors import ConvexaError, DisconnectedError, InputError
 from .graph import Graph, biconnected_edge_blocks, is_clique, is_connected
 
@@ -63,7 +62,6 @@ class _LiveGraph:
         n, m = g.n, g.m
         self.n = n
         self.objective = objective
-        self.csr = g.csr
         self.edge_idx = g.edge_idx
         self.eu = g.edge_idx[:, 0].astype(np.int64)
         self.ev = g.edge_idx[:, 1].astype(np.int64)
@@ -184,37 +182,39 @@ class _LiveGraph:
 
     def _still_biconnected(self, u, v, label):
         """Sufficient test that block `label`, which just lost the edge
-        (u, v), is still biconnected: a shortest u-v path in it, and another
-        that avoids the first one's inner nodes.  Two such paths leave no cut
+        (u, v), is still biconnected: a u-v path in it, and another that
+        avoids the first one's inner nodes.  Two such paths leave no cut
         vertex, since a cut vertex of the block minus (u, v) would separate
         u from v (adding (u, v) back makes the block biconnected again)."""
-        _, _, edge_id = self.csr
-        arc_ok = self.alive[edge_id] & (self.block[edge_id] == label)
-        parent = self._bfs_parents(u, v, arc_ok, [])
-        inner = []
-        x = parent[v]
-        while x != u:
-            inner.append(x)
-            x = parent[x]
-        return self._bfs_parents(u, v, arc_ok, inner)[v] >= 0
+        inner = self._path_inner(u, v, label, ())
+        return inner is not None and self._path_inner(u, v, label, inner) is not None
 
-    def _bfs_parents(self, source, target, arc_ok, blocked):
-        """BFS parents over the arcs in `arc_ok`, never entering `blocked`,
-        until `target` is reached; -1 where not reached."""
-        indptr, indices, _ = self.csr
-        parent = np.full(self.n, -1, dtype=np.int64)
-        parent[blocked] = self.n
-        parent[source] = source
-        frontier = np.array([source])
-        while frontier.size and parent[target] < 0:
-            pos, owner = _arcs(indptr, frontier)
-            keep = arc_ok[pos] & (parent[indices[pos]] < 0)
-            child, src = indices[pos[keep]], frontier[owner[keep]]
-            # a child reached from several frontier nodes keeps one of them
-            # as its parent, and enters the next frontier once
-            parent[child] = src
-            frontier = child[parent[child] == src]
-        return parent
+    def _path_inner(self, u, v, label, blocked):
+        """Inner nodes of a u-v path over the live edges of block `label`
+        that avoids `blocked`, or None.  Each step grows the smaller of the
+        searches from u and from v by one layer, until they meet."""
+        parent = ({u: u}, {v: v})
+        frontier = [[u], [v]]
+        while all(frontier):
+            side = int(len(frontier[1]) < len(frontier[0]))
+            mine, other = parent[side], parent[1 - side]
+            grown = []
+            for x in frontier[side]:
+                for y, e in self.nbr[x].items():
+                    if y in mine or y in blocked or self.block[e] != label:
+                        continue
+                    mine[y] = x
+                    if y in other:
+                        inner = set()
+                        for par in parent:  # walk back to both ends
+                            w = y
+                            while par[w] != w:
+                                inner.add(w)
+                                w = par[w]
+                        return inner - {u, v}
+                    grown.append(y)
+            frontier[side] = grown
+        return None
 
 
 def extract_convex_skeleton(

@@ -8,6 +8,7 @@ kernels must match exactly.
 """
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -573,3 +574,18 @@ def random_corpus(rng, count):
             g = build_graph(records, isolated_nodes=[*g.ids, *(i + "b" for i in g.ids)])
         graphs.append(g)
     return graphs
+
+
+def kendall_tau_pairs(a, b):
+    """Tau-b by counting every one of the n(n-1)/2 pairs: the reference for
+    the O(n log n) count.  `a` and `b` are float arrays, neither constant."""
+    i, j = np.triu_indices(len(a), k=1)
+    da = np.sign(a[i] - a[j])
+    db = np.sign(b[i] - b[j])
+    prod = da * db
+    concordant = int((prod > 0).sum())
+    discordant = int((prod < 0).sum())
+    n0 = len(i)
+    tied_a = int((da == 0).sum())
+    tied_b = int((db == 0).sum())
+    return (concordant - discordant) / math.sqrt((n0 - tied_a) * (n0 - tied_b))

@@ -399,3 +399,77 @@ def test_backbone_subcommand(workdir):
     flagged = [l for l in out.read_text().splitlines() if l.endswith("\t1")]
     meta = json.loads((workdir / "bb.tsv.meta.json").read_text())
     assert len(flagged) == meta["config"]["m"]
+
+
+def _refused(workdir, r, out):
+    """Exit 3, one `error:` line on stderr, and nothing written."""
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert not out.exists()
+    assert not (workdir / (out.name + ".meta.json")).exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--bin-width", "0"], ["--bin-width", "-5"], ["--bin-width", "nan"],
+     ["--bin-width", "5", "--bin-origin", "nan"], ["--bin-width", "1e-320"]],
+    ids=["width-0", "width-negative", "width-nan", "origin-nan", "width-overflows"],
+)
+def test_distributions_rejects_bad_bins(workdir, flags):
+    out = workdir / f"dist_bad_{'_'.join(flags)}.csv"
+    r = run("distributions", "--input", str(workdir / "tree.tsv"),
+            "--authors", str(workdir / "authors.csv"), "--expr", "ABS_DIFF(birth_year)",
+            *flags, "--output", str(out))
+    _refused(workdir, r, out)
+
+
+#: case -> (the input it replaces, that input's bytes, extra flags)
+MALFORMED = {
+    "empty-papers": ("papers", b"", []),
+    "empty-paper-meta": ("paper-meta", b"", []),
+    "empty-authors": ("authors", b"", []),
+    "papers-row-without-author": ("papers", b"paper_id,author_id\np1,a\np1\n", []),
+    "year-min-not-a-number": (
+        "paper-meta", b"paper_id,year\np1,2001\np2,soon\n", ["--year-min", "2000"]),
+    "year-max-not-a-number": (
+        "paper-meta", b"paper_id,year\np1,2001\np2,soon\n", ["--year-max", "2005"]),
+    "papers-not-utf8": ("papers", b"paper_id,author_id\np1,a\np1,\xff\n", []),
+    "authors-not-utf8": ("authors", b"author_id,gender\na,F\n\xe9,M\n", []),
+    "edges-not-utf8": ("input", b"a\tb\nb\t\xe9\n", []),
+    "attribute-not-a-number": (
+        "authors", b"author_id,gender\na,F\nb,F\nc,M\nd,M\n", ["--bin-width", "5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_3(workdir, case):
+    role, data, extra = MALFORMED[case]
+    bad = workdir / f"malformed_{case}"
+    bad.write_bytes(data)
+    out = workdir / f"malformed_{case}.out"
+    if role in ("papers", "paper-meta"):
+        files = {"papers": workdir / "papers.csv", "paper-meta": workdir / "paper_meta.csv"}
+        cmd = ["buildnet"]
+    else:
+        files = {"input": workdir / "tree.tsv", "authors": workdir / "authors.csv"}
+        expr = "ABS_DIFF(gender)" if case == "attribute-not-a-number" else "SAME(gender)"
+        cmd = ["distributions", "--expr", expr]
+    files[role] = bad
+    argv = [*cmd, *(a for k, p in files.items() for a in (f"--{k}", str(p)))]
+    _refused(workdir, run(*argv, *extra, "--output", str(out)), out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--format", "json", "--output-dir"],
+    ["centrality", "--seed", "1", "--output"],
+    ["rank", "--measure", "degree", "--seed", "1", "--output"],
+    ["buildnet", "--seed", "1", "--output"],
+], ids=["compare-format", "centrality-seed", "rank-seed", "buildnet-seed"])
+def test_flags_that_would_be_ignored_are_refused(workdir, argv):
+    # these subcommands draw no random numbers, and compare writes only CSV
+    src = "papers.csv" if argv[0] == "buildnet" else "c4.tsv"
+    out = workdir / f"ignored_{argv[0]}"
+    flag = "--papers" if argv[0] == "buildnet" else "--input"
+    r = run(argv[0], flag, str(workdir / src), *argv[1:], str(out))
+    assert r.returncode == 2 and "unrecognized arguments" in r.stderr
+    assert not out.exists()

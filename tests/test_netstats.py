@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from convexa import (
     Backbone,
@@ -23,7 +24,13 @@ from convexa import (
 )
 from convexa import _kernels
 from convexa.netstats import average_ranks, largest_component_graph, mean_distance
-from oracles import largest_component_loop, mean_distance_triu, random_corpus, random_graph
+from oracles import (
+    kendall_tau_pairs,
+    largest_component_loop,
+    mean_distance_triu,
+    random_corpus,
+    random_graph,
+)
 
 C4 = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
 PAW = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]
@@ -147,6 +154,21 @@ def test_kendall_fixtures():
     assert kendall_tau(x, rev) == -1.0
     y = {1: 1.0, 2: 3.0, 3: 2.0, 4: 4.0}
     assert kendall_tau(x, y) == pytest.approx(2.0 / 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 3.0]), st.integers(0, 4)),
+        min_size=2, max_size=60,
+    )
+)
+def test_kendall_tau_matches_the_pairwise_count(pairs):
+    a = np.array([p[0] for p in pairs])
+    b = np.array([float(p[1]) for p in pairs])
+    assume(np.ptp(a) > 0 and np.ptp(b) > 0)
+    # exact integer counts on both sides: the same float, not just close
+    assert kendall_tau(dict(enumerate(a)), dict(enumerate(b))) == kendall_tau_pairs(a, b)
 
 
 def test_correlation_errors():

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from convexa import (
     retained_weight_fraction,
     skeleton_graph,
 )
+from convexa.graph import biconnected_edge_blocks
+from convexa.skeleton import _LiveGraph
 from convexa.synth import GeneratorSpec, Kind, generate
 from oracles import blocks_info, objective_after_removal, random_graph, skeleton_loop
 
@@ -199,3 +202,47 @@ def test_incremental_skeleton_matches_reference_loop(g, objective, tie_break, se
     # bit for bit: float.hex tells apart values that == would merge (0.0, -0.0)
     assert [(e, v.hex()) for e, v in sk.removed] == [(e, v.hex()) for e, v in removed]
     assert sk.kept == kept
+
+
+def _spy_block_test(check):
+    """Patch the block test so that `check(live, label, result)` sees each
+    answer; returns the patch and the list of answers."""
+    answers = []
+    real = _LiveGraph._still_biconnected
+
+    def spy(live, u, v, label):
+        result = real(live, u, v, label)
+        answers.append(result)
+        check(live, label, result)
+        return result
+
+    return mock.patch.object(_LiveGraph, "_still_biconnected", spy), answers
+
+
+@settings(max_examples=100, deadline=None)
+@given(skeleton_graphs(), st.sampled_from(list(Objective)))
+def test_block_test_passes_only_blocks_that_stay_biconnected(g, objective):
+    def check(live, label, result):
+        if result:
+            edges = live.members[label]  # still holds the dead edge
+            ends = live.edge_idx[edges[live.alive[edges]]]
+            _, local = np.unique(ends, return_inverse=True)
+            blocks = biconnected_edge_blocks(int(local.max()) + 1, local.reshape(ends.shape))
+            assert len(blocks) == 1
+
+    patch, _ = _spy_block_test(check)
+    with patch:
+        extract_convex_skeleton(g, objective)
+
+
+@pytest.mark.parametrize("k", [4, 5, 9])
+def test_block_test_fails_on_a_cycle(k):
+    g = generate(GeneratorSpec(Kind.CYCLE, {"n": k}, seed=0))
+    for e in range(k):
+        patch, answers = _spy_block_test(lambda live, label, result: None)
+        live = _LiveGraph(g, Objective.GLOBAL_TRANSITIVITY)
+        with patch:
+            live.remove(e)
+        # C_k minus one edge is a path: every edge left is a bridge
+        assert answers == [False]
+        assert live.bridge[live.alive].all() and not live.nonclique

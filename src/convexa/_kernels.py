@@ -85,54 +85,62 @@ def common_neighbors(indptr, indices, eu, ev):
 # Brandes accumulation
 
 #: element budget of one source block: k sources cost about k * (n + 2m)
-#: elements (distances, path counts, dependencies, edge terms, frontier arcs)
+#: elements (per node its distance, slot, path count and dependency; per
+#: edge its term and the DAG arc recorded for it, at most one per source;
+#: and the arcs of one frontier)
 BRANDES_BLOCK_ELEMENTS = 2**16
 
 
 def _brandes_block(indptr, indices, edge_id, n, m, sources):
     # state of k BFS runs flattened to keys r*n + v (source row r, node v);
-    # each layer holds its keys by source, then in that source's queue order
+    # each layer holds its keys by source, then in that source's queue order,
+    # and slot[key] is the key's index in its layer
     k = sources.size
-    rows = np.arange(k)
+    idx = np.int32 if k * max(n, m) < 2**31 else np.int64
     dist = np.full(k * n, -1, np.int32)
-    sigma = np.zeros(k * n)
-    layer = rows * n + sources
+    slot = np.full(k * n, np.iinfo(idx).max, idx)
+    layer = np.arange(k) * n + sources
     dist[layer] = 0
-    sigma[layer] = 1.0
-    layers = [layer]
+    slot[layer] = np.arange(k)
+    layers, sigmas, arcs = [layer], [np.ones(k)], []
     while True:
-        w = layer % n
-        pos, owner = _arcs(indptr, w)
-        child = (layer - w)[owner] + indices[pos]
-        fresh = child[dist[child] < 0]
+        # expanding layer d reads each arc's far end once: the arcs back to
+        # layer d - 1 are layer d's DAG arcs, the undiscovered ends layer d + 1
+        d = len(layers) - 1
+        row = layer // n
+        pos, owner = _arcs(indptr, layer - row * n)
+        child = (row * n)[owner] + indices[pos]
+        seen = dist[child]
+        if d:
+            up = np.flatnonzero(seen == d - 1)
+            edge_key = (row * m)[owner[up]] + edge_id[pos[up]]
+            arcs.append((slot[child[up]], owner[up].astype(idx), edge_key.astype(idx)))
+        new = np.flatnonzero(seen < 0)
+        fresh = child[new]
         if not fresh.size:
             break
-        # queue order is the order of first discovery
-        keys, first = np.unique(fresh, return_index=True)
-        d = len(layers)
-        layer = keys[np.argsort(first)]
-        dist[layer] = d
+        # queue order is the order of first discovery: each key keeps its
+        # smallest arc index, whatever order minimum.at applies the writes in
+        at = np.arange(fresh.size, dtype=idx)
+        np.minimum.at(slot, fresh, at)
+        layer = fresh[slot[fresh] == at]
+        slot[layer] = np.arange(layer.size)
+        dist[layer] = d + 1
         # path counts are sums of parents in queue order, as in the loop
-        on = dist[child] == d
-        sigma += np.bincount(child[on], weights=sigma[layers[-1][owner[on]]], minlength=k * n)
+        sigmas.append(np.bincount(slot[fresh], weights=sigmas[d][owner[new]], minlength=layer.size))
         layers.append(layer)
     delta = np.zeros(k * n)
     edge = np.zeros(k * m)
+    dep = np.zeros(layers[-1].size)
     for d in range(len(layers) - 1, 0, -1):
-        # children in descending queue order, so each dependency sums its
-        # terms in the loop's order
-        layer = layers[d][::-1]
-        coeff = (1.0 + delta[layer]) / sigma[layer]
-        pos, owner = _arcs(indptr, layer % n)
-        row = (layer // n)[owner]
-        parent = row * n + indices[pos]
-        on = dist[parent] == d - 1
-        parent, pos, owner, row = parent[on], pos[on], owner[on], row[on]
-        term = sigma[parent] * coeff[owner]
-        delta += np.bincount(parent, weights=term, minlength=k * n)
-        edge[row * m + edge_id[pos]] = term
-    # a source's own dependency is not betweenness
-    delta[rows * n + sources] = 0.0
+        # reversed arcs take children in descending queue order, so each
+        # parent's dependency sums its terms in the loop's order
+        parent, child, edge_key = (a[::-1] for a in arcs[d - 1])
+        term = sigmas[d - 1][parent] * ((1.0 + dep) / sigmas[d])[child]
+        edge[edge_key] = term
+        delta[layers[d]] = dep
+        dep = np.bincount(parent, weights=term, minlength=layers[d - 1].size)
+    # the sources' own dependencies (the last `dep`) are not betweenness
     return delta.reshape(k, n), edge.reshape(k, m)
 
 
@@ -141,10 +149,10 @@ def brandes(indptr, indices, edge_id, n, m):
 
     Unordered pairs, per component, unnormalised.  Sources run in blocks of
     k with k * (n + 2m) <= BRANDES_BLOCK_ELEMENTS (at least one), each block
-    one BFS and one dependency sweep layer by layer, so memory is O(n + m)
-    plus a constant.  Path counts are exact integers and every float sum
-    keeps the order of the one-source-at-a-time loop: the results are
-    bit-identical to it.
+    one BFS that records every layer's DAG arcs and one dependency sweep
+    over them, layer by layer, so memory is O(n + m) plus a constant.  Every
+    float sum, path counts (exact below 2**53) included, keeps the order of
+    the one-source-at-a-time loop: the results are bit-identical to it.
     """
     node = np.zeros(n)
     edge = np.zeros(m)

@@ -210,8 +210,9 @@ def _maybe_number(text):
 
 def _csv_rows(path, columns):
     """The rows of a CSV file as dicts.  InputError when its header lacks
-    one of `columns` (an empty file has no header) or a row holds more
-    fields than the header."""
+    one of `columns` (an empty file has no header), a row holds more fields
+    than the header, or a row leaves one of `columns` missing or empty (an
+    empty id would be taken for a real one)."""
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not set(columns) <= set(reader.fieldnames or ()):
@@ -219,6 +220,9 @@ def _csv_rows(path, columns):
         for row in reader:
             if None in row:
                 raise InputError(f"{path}:{reader.line_num}: more fields than the header")
+            for c in columns:
+                if not row[c]:
+                    raise InputError(f"{path}:{reader.line_num}: no {c}")
             yield row
 
 
@@ -232,8 +236,6 @@ def read_papers_csv(links_path, meta_path=None):
     order = []
     for row in _csv_rows(links_path, ("paper_id", "author_id")):
         pid, author = row["paper_id"], row["author_id"]
-        if pid is None or author is None:
-            raise InputError(f"{links_path}: a row has no paper_id or no author_id field")
         if pid not in authors_by_paper:
             authors_by_paper[pid] = []
             order.append(pid)

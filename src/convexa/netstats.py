@@ -127,15 +127,18 @@ def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int = 0) -> 
 
 
 def _paired_arrays(x: dict, y: dict):
+    """x and y as float arrays in one sorted key order; refuses unequal key
+    sets, fewer than 2 keys and a constant vector."""
     if set(x) != set(y):
         raise InputError("value mappings must have identical key sets")
     if len(x) < 2:
         raise ConvexaError("need at least 2 keys for rank correlation")
     keys = sorted(x)
-    return (
-        np.array([x[k] for k in keys], float),
-        np.array([y[k] for k in keys], float),
-    )
+    a = np.array([x[k] for k in keys], float)
+    b = np.array([y[k] for k in keys], float)
+    if np.ptp(a) == 0 or np.ptp(b) == 0:
+        raise ConvexaError("rank correlation undefined: zero rank variance")
+    return a, b
 
 
 def average_ranks(a: np.ndarray) -> np.ndarray:
@@ -157,11 +160,13 @@ def spearman_rho(x: dict, y: dict) -> float:
     integer arithmetic, so perfect agreement/reversal score exactly +/-1.
     """
     a, b = _paired_arrays(x, y)
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise ConvexaError("rank correlation undefined: zero rank variance")
-    ra, rb = average_ranks(a), average_ranks(b)
-    n = len(a)
-    if len(np.unique(a)) == n and len(np.unique(b)) == n:
+    distinct = np.unique(a).size == a.size and np.unique(b).size == b.size
+    return _rho(average_ranks(a), average_ranks(b), distinct)
+
+
+def _rho(ra, rb, distinct):
+    n = ra.size
+    if distinct:
         d2 = int(((ra - rb).astype(np.int64) ** 2).sum())
         return 1.0 - 6.0 * d2 / (n * (n * n - 1))
     return float(np.corrcoef(ra, rb)[0, 1])
@@ -179,9 +184,10 @@ def kendall_tau(x: dict, y: dict) -> float:
     O(n) memory (Knight, JASA 1966).  Sorted by (a, b), the discordant pairs
     are the strict inversions of b, counted with a Fenwick tree over b's
     dense ranks; pairs tied in a, in b and in both come from run lengths."""
-    a, b = _paired_arrays(x, y)
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise ConvexaError("rank correlation undefined: zero rank variance")
+    return _tau(*_paired_arrays(x, y))
+
+
+def _tau(a, b):
     order = np.lexsort((b, a))
     a, b = a[order], b[order]
     new_a = np.r_[True, a[1:] != a[:-1]]
@@ -231,20 +237,25 @@ def correlation_matrix(
     if row_vecs is None:
         row_vecs = centrality_values(g)
     col_vecs = centrality_values(sub)
+    # each of the 8 vectors is aligned and ranked once for the whole grid
+    keys = sorted(g.ids)
+
+    def ranked(vecs, m):
+        a = np.array([vecs[m][k] for k in keys], float)
+        return a, average_ranks(a), np.unique(a).size
+
+    cols = [ranked(col_vecs, cm) for cm in MEASURES]
     grid = []
     for rm in MEASURES:
+        a, ra, da = ranked(row_vecs, rm)
         row = []
-        for cm in MEASURES:
-            x, y = row_vecs[rm], col_vecs[cm]
-            if _constant(x) or _constant(y):
+        for cm, (b, rb, db) in zip(MEASURES, cols):
+            if da < 2 or db < 2:
                 # zero rank variance: neither correlation is defined
                 rho = tau = None
             else:
-                rho, tau = spearman_rho(x, y), kendall_tau(x, y)
+                rho = _rho(ra, rb, da == len(keys) and db == len(keys))
+                tau = _tau(a, b)
             row.append(CorrelationCell(rm, cm, rho=rho, tau=tau))
         grid.append(row)
     return grid
-
-
-def _constant(values: dict) -> bool:
-    return len(set(values.values())) < 2

@@ -429,6 +429,8 @@ MALFORMED = {
     "empty-paper-meta": ("paper-meta", b"", []),
     "empty-authors": ("authors", b"", []),
     "papers-row-without-author": ("papers", b"paper_id,author_id\np1,a\np1\n", []),
+    "papers-blank-author": ("papers", b"paper_id,author_id\np1,a\np1,\np1,b\n", []),
+    "papers-blank-paper-id": ("papers", b"paper_id,author_id\np1,a\n,b\n", []),
     "year-min-not-a-number": (
         "paper-meta", b"paper_id,year\np1,2001\np2,soon\n", ["--year-min", "2000"]),
     "year-max-not-a-number": (

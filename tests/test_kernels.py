@@ -188,6 +188,35 @@ def test_brandes_matches_loop_bit_for_bit(g, per_block):
         _assert_brandes_matches_loop(g)
 
 
+def test_brandes_matches_loop_when_path_counts_exceed_2_53():
+    # 40 layers of 5 nodes, each node joined to a random non-empty subset of
+    # the layer before: path counts grow to about 3**40 > 2**53, so float
+    # sums round and their order shows in the bits.  Shuffled ids make the
+    # CSR order differ from the queue order.
+    rng = np.random.default_rng(2053)
+    layers, width = 40, 5
+    labels = [f"v{i:03d}" for i in rng.permutation(layers * width)]
+    pairs = []
+    # exact counts of the shortest paths from the first layer, as integers
+    paths = np.eye(width, dtype=object)
+    for d in range(1, layers):
+        step = np.zeros((width, width), dtype=object)
+        for v in range(width):
+            prev = rng.permutation(width)[: rng.integers(1, width + 1)]
+            step[prev, v] = 1
+            pairs += [(labels[(d - 1) * width + p], labels[d * width + v]) for p in prev]
+        paths = paths.dot(step)
+    assert paths.max() > 2**53
+    g = cx.build_graph(pairs)
+    indptr, indices, edge_id = g.csr
+    ref_node, ref_edge = brandes_loop(indptr, indices, edge_id, g.n, g.m)
+    for budget in [p * (g.n + 2 * g.m) for p in (1, 2, 3)] + [_kernels.BRANDES_BLOCK_ELEMENTS]:
+        with mock.patch.object(_kernels, "BRANDES_BLOCK_ELEMENTS", budget):
+            node, edge = _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
+        assert np.array_equal(node, ref_node)
+        assert np.array_equal(edge, ref_edge)
+
+
 def _neighbour_sets(g):
     adj = {i: set() for i in range(g.n)}
     for u, v in g.edge_idx.tolist():

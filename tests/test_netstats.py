@@ -23,7 +23,14 @@ from convexa import (
     spearman_rho,
 )
 from convexa import _kernels
-from convexa.netstats import average_ranks, largest_component_graph, mean_distance
+from convexa.backbones import backbone_graph
+from convexa.netstats import (
+    MEASURES,
+    average_ranks,
+    centrality_values,
+    largest_component_graph,
+    mean_distance,
+)
 from oracles import (
     kendall_tau_pairs,
     largest_component_loop,
@@ -203,6 +210,28 @@ def test_correlation_matrix_identity_backbone():
     for i in range(4):
         assert grid[i][i].rho == 1.0
         assert grid[i][i].tau == 1.0
+
+
+def test_correlation_matrix_cells_match_the_pairwise_functions():
+    # the grid ranks each vector once; every cell must still equal the
+    # public pairwise functions bit for bit, or be None for a constant vector
+    rng = np.random.default_rng(11)
+    cycle = build_graph(C4)
+    cases = [(cycle, Backbone(BackboneKind.CONVEX_SKELETON, frozenset(range(cycle.m))))]
+    for _ in range(6):
+        g = random_graph(rng, int(rng.integers(6, 20)), 0.3, connected=True, weighted=True)
+        cases.append((g, maximum_spanning_tree(g)))
+    for g, b in cases:
+        rows = centrality_values(g)
+        cols = centrality_values(backbone_graph(g, b))
+        for cells, rm in zip(correlation_matrix(g, b), MEASURES):
+            for cell, cm in zip(cells, MEASURES):
+                x, y = rows[rm], cols[cm]
+                if len(set(x.values())) < 2 or len(set(y.values())) < 2:
+                    assert cell.rho is None and cell.tau is None
+                else:
+                    assert cell.rho == spearman_rho(x, y)
+                    assert cell.tau == kendall_tau(x, y)
 
 
 def test_largest_component_matches_the_loop_bit_for_bit():

@@ -52,6 +52,7 @@ from .graph import (
     connected_components,
     is_bridge,
     is_connected,
+    read_edge_flags,
     read_edge_tsv,
     write_edge_tsv,
 )

@@ -6,7 +6,7 @@ construction with uniform teleport; closeness uses the reachable-set
 corrected form, which reduces to classical closeness on connected graphs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,7 +26,6 @@ class Measure(Enum):
 class CentralityVector:
     measure: Measure
     values: dict  # node id -> value
-    params: dict = field(default_factory=dict)
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
@@ -42,7 +41,7 @@ def pagerank(
     """Power iteration on the bidirected graph, dangling mass spread uniformly."""
     n = g.n
     if n == 0:
-        return CentralityVector(Measure.PAGERANK, {}, {"damping": damping})
+        return CentralityVector(Measure.PAGERANK, {})
     deg = g.degrees.astype(np.float64)
     dangling = deg == 0
     # A @ x as a sum over each node's neighbours in CSR order
@@ -59,9 +58,7 @@ def pagerank(
         p = new
         if residual < tol:
             return CentralityVector(
-                Measure.PAGERANK,
-                {g.ids[i]: float(p[i]) for i in range(n)},
-                {"damping": damping, "tol": tol},
+                Measure.PAGERANK, {g.ids[i]: float(p[i]) for i in range(n)}
             )
     raise ConvergenceError(
         f"PageRank did not converge in {max_iter} iterations (residual {residual:g})",

@@ -39,10 +39,9 @@ from .coauthor import (
     read_papers_csv,
 )
 from .convexity import convexity
-from .errors import ConvergenceError, ConvexaError, DisconnectedError, InputError
-from .graph import open_text, read_edge_tsv, write_edge_tsv
+from .errors import ConvergenceError, ConvexaError, InputError
+from .graph import format_weight, read_edge_flags, read_edge_tsv, write_edge_tsv
 from .netstats import (
-    MEASURES,
     StatsRecord,
     centrality_values,
     correlation_matrix,
@@ -65,8 +64,6 @@ _OBJECTIVES = {
     "average_local": Objective.AVERAGE_LOCAL,
 }
 _TIE_BREAKS = {"lex": TieBreak.LEX_SMALLEST, "random": TieBreak.RANDOM}
-_SCHEMES = {s.value: s for s in CountingScheme}
-_MEASURE_BY_NAME = {m.value: m for m in Measure}
 _BACKBONE_NAMES = {
     "skeleton": BackboneKind.CONVEX_SKELETON,
     "mst": BackboneKind.MAX_SPANNING_TREE,
@@ -80,7 +77,7 @@ def fmt(x):
     if x is None:
         return "NA"
     if isinstance(x, float):
-        return repr(x) if x != int(x) else str(int(x))
+        return format_weight(x)
     return str(x)
 
 
@@ -138,13 +135,13 @@ def write_files(texts):
         raise
 
 
-def with_meta(texts, subcommand, config):
+def with_meta(texts, args, config):
     """The {path: text} outputs, each followed by its `<path>.meta.json`
     sidecar recording tool version, subcommand and config."""
     meta = {
         "tool": "convexa",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config,
     }
     meta = json.dumps(meta, sort_keys=True, indent=2) + "\n"
@@ -155,14 +152,14 @@ def with_meta(texts, subcommand, config):
     return files
 
 
-def emit(args, subcommand, config, csv_text, json_obj, extra=None):
+def emit(args, config, csv_text, json_obj, extra=None):
     """Write the primary output (CSV, or JSON with --format json), its
     .meta.json sidecar and the `extra` {path: text} files, all or nothing."""
     if args.format == "json":
         text = json.dumps(json_obj, sort_keys=True, indent=2) + "\n"
     else:
         text = csv_text
-    write_files({**with_meta({args.output: text}, subcommand, config), **(extra or {})})
+    write_files({**with_meta({args.output: text}, args, config), **(extra or {})})
 
 
 def _resolve_seed(args):
@@ -197,7 +194,6 @@ def cmd_convexity(args):
     config = {"input": args.input, "runs": args.runs, "seed": seed, "x": score.x}
     emit(
         args,
-        "convexity",
         config,
         csv_text(rows),
         {
@@ -243,7 +239,6 @@ def cmd_skeleton(args):
     extra = {args.removal_log: csv_text(removal_rows)} if args.removal_log else None
     emit(
         args,
-        "skeleton",
         config,
         buf.getvalue(),
         {
@@ -285,6 +280,8 @@ def cmd_backbone(args):
     g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
     kind = _BACKBONE_NAMES[args.kind]
+    if args.m is not None and args.kind in ("mst", "skeleton"):
+        raise InputError(f"--m sets the edge budget of a top-m kind; {args.kind} takes none")
     b = _make_backbone(g, kind, args, seed)
     buf = io.StringIO()
     flag = "in_skeleton" if kind is BackboneKind.CONVEX_SKELETON else "in_backbone"
@@ -293,12 +290,12 @@ def cmd_backbone(args):
         "input": args.input,
         "kind": args.kind,
         "m": len(b.edges),
+        "objective": args.objective,
         "seed": seed,
         "tie_break": args.tie_break,
     }
     emit(
         args,
-        "backbone",
         config,
         buf.getvalue(),
         {"kind": args.kind, "edges": [list(g.edge_ids(e)) for e in sorted(b.edges)]},
@@ -346,18 +343,14 @@ def cmd_compare(args):
     }
     os.makedirs(args.output_dir, exist_ok=True)
     paths = {os.path.join(args.output_dir, name): text for name, text in texts.items()}
-    write_files(with_meta(paths, "compare", config))
+    write_files(with_meta(paths, args, config))
     print(f"compare: wrote stats.csv and {len(backbones)} correlation file(s) to {args.output_dir}")
     return 0
 
 
 def cmd_centrality(args):
     g = read_edge_tsv(args.input)
-    measures = (
-        list(MEASURES)
-        if args.measure == "all"
-        else [_MEASURE_BY_NAME[args.measure]]
-    )
+    measures = list(Measure) if args.measure == "all" else [Measure(args.measure)]
     vecs = {m: compute(g, m) for m in measures}
     rows = [["node"] + [m.value for m in measures]]
     for node in g.ids:
@@ -365,7 +358,6 @@ def cmd_centrality(args):
     config = {"input": args.input, "measure": args.measure}
     emit(
         args,
-        "centrality",
         config,
         csv_text(rows),
         {m.value: vecs[m].values for m in measures},
@@ -375,7 +367,7 @@ def cmd_centrality(args):
 
 def cmd_rank(args):
     g = read_edge_tsv(args.input)
-    vec = compute(g, _MEASURE_BY_NAME[args.measure])
+    vec = compute(g, Measure(args.measure))
     ranked = top_k(vec, args.top)
     rows = [["rank", "node", "value"]]
     for i, (node, value) in enumerate(ranked, 1):
@@ -383,7 +375,6 @@ def cmd_rank(args):
     config = {"input": args.input, "measure": args.measure, "top": args.top}
     emit(
         args,
-        "rank",
         config,
         csv_text(rows),
         {"measure": args.measure, "ranking": [[n, v] for n, v in ranked]},
@@ -394,7 +385,7 @@ def cmd_rank(args):
 def cmd_buildnet(args):
     papers = read_papers_csv(args.papers, args.paper_meta)
     papers = filter_years(papers, args.year_min, args.year_max)
-    g = build_coauthorship(papers, _SCHEMES[args.scheme])
+    g = build_coauthorship(papers, CountingScheme(args.scheme))
     buf = io.StringIO()
     write_edge_tsv(g, buf)
     config = {
@@ -408,7 +399,6 @@ def cmd_buildnet(args):
     }
     emit(
         args,
-        "buildnet",
         config,
         buf.getvalue(),
         {
@@ -423,36 +413,11 @@ def cmd_buildnet(args):
 
 
 def _skeleton_from_tsv(g, path):
-    """Rebuild a kept-edge set from a `u v w flag` TSV written by `skeleton`,
-    which must list every edge of g exactly once, in either orientation."""
-    seen = set()
-    kept = set()
-    removed = []
-    with open_text(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise InputError(f"{path}: expected 4 tab-separated fields")
-            u, v, _, flag = parts
-            e = g.edge_pos(u, v)
-            if e in seen:
-                raise InputError(f"{path}: edge ({u!r}, {v!r}) is listed twice")
-            seen.add(e)
-            if flag == "1":
-                kept.add(e)
-            else:
-                removed.append(((u, v), float("nan")))
-    if len(seen) != g.m:
-        raise InputError(f"{path}: skeleton file does not cover the graph's edges")
-    return SkeletonResult(
-        kept=frozenset(kept),
-        removed=tuple(removed),
-        objective=Objective.GLOBAL_TRANSITIVITY,
-        source_m=g.m,
-    )
+    """The skeleton flagged in a `u v w flag` TSV written by `skeleton`; the
+    removal log lists the other edges, with no objective values."""
+    kept = read_edge_flags(g, path)
+    removed = tuple((g.edge_ids(e), float("nan")) for e in range(g.m) if e not in kept)
+    return SkeletonResult(kept=kept, removed=removed)
 
 
 def cmd_distributions(args):
@@ -485,13 +450,17 @@ def cmd_distributions(args):
         rows.append([*label, fmt(rep.missing_skeleton), fmt(rep.missing_remainder)])
     config = {
         "input": args.input,
+        "authors": args.authors,
+        "skeleton": args.skeleton,
         "expr": str(expr),
         "bin_width": args.bin_width,
+        "bin_origin": args.bin_origin,
+        "objective": args.objective,
+        "tie_break": args.tie_break,
         "seed": seed,
     }
     emit(
         args,
-        "distributions",
         config,
         csv_text(rows),
         {
@@ -520,7 +489,6 @@ def cmd_generate(args):
     config = {"kind": args.kind, "params": params, "seed": seed}
     emit(
         args,
-        "generate",
         config,
         buf.getvalue(),
         {"nodes": list(g.ids), "edges": [[*g.edge_ids(e)] for e in range(g.m)]},
@@ -535,7 +503,7 @@ def cmd_stats(args):
     s = descriptive_stats(g, convexity_runs=args.runs, seed=seed)
     rows = [["statistic", "value"], *_stat_rows([s])]
     config = {"input": args.input, "runs": args.runs, "seed": seed}
-    emit(args, "stats", config, csv_text(rows), asdict(s))
+    emit(args, config, csv_text(rows), asdict(s))
     return 0
 
 
@@ -596,13 +564,13 @@ def build_parser():
 
     p = sub.add_parser("centrality", help="centrality values for all nodes")
     p.add_argument("--input", required=True)
-    p.add_argument("--measure", choices=["all"] + sorted(_MEASURE_BY_NAME), default="all")
+    p.add_argument("--measure", choices=["all"] + sorted(m.value for m in Measure), default="all")
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_centrality)
 
     p = sub.add_parser("rank", help="top-k nodes by one measure")
     p.add_argument("--input", required=True)
-    p.add_argument("--measure", choices=sorted(_MEASURE_BY_NAME), required=True)
+    p.add_argument("--measure", choices=sorted(m.value for m in Measure), required=True)
     p.add_argument("--top", type=int, default=20)
     _add_common(p, seed=False)
     p.set_defaults(func=cmd_rank)
@@ -610,7 +578,7 @@ def build_parser():
     p = sub.add_parser("buildnet", help="co-authorship network from publication records")
     p.add_argument("--papers", required=True, help="long-form CSV: paper_id,author_id")
     p.add_argument("--paper-meta", default=None, help="CSV: paper_id,year,...")
-    p.add_argument("--scheme", choices=sorted(_SCHEMES), default="fractional")
+    p.add_argument("--scheme", choices=sorted(s.value for s in CountingScheme), default="fractional")
     p.add_argument("--year-min", type=int, default=None)
     p.add_argument("--year-max", type=int, default=None)
     _add_common(p, seed=False)
@@ -659,7 +627,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DisconnectedError, InputError, ConvexaError) as exc:
+    except ConvexaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -13,7 +13,7 @@ from enum import Enum
 
 from .errors import ConvexaError, InputError
 from .graph import Graph, build_graph, open_text
-from .skeleton import SkeletonResult, remainder, skeleton_graph
+from .skeleton import SkeletonResult, _check_match
 
 #: marker for attribute values that cannot be derived
 MISSING = None
@@ -170,18 +170,19 @@ class DistributionReport:
 def distribution_report(
     g: Graph, sk: SkeletonResult, expr: AttrExpr, authors: dict, binning: Binning
 ) -> DistributionReport:
-    parts = {"sk": skeleton_graph(g, sk), "re": remainder(g, sk)}
+    _check_match(g, sk)
     acc = {"sk": {}, "re": {}}
     miss = {"sk": 0.0, "re": 0.0}
-    for tag, sub in parts.items():
-        for e in range(sub.m):
-            val = edge_attribute(expr, sub.edge_ids(e), authors)
-            w = float(sub.weights[e])
-            if val is MISSING:
-                miss[tag] += w
-            else:
-                key = binning.key(val)
-                acc[tag][key] = acc[tag].get(key, 0.0) + w
+    # each tag sums its edges in g's order, as over its own subgraph
+    for e in range(g.m):
+        tag = "sk" if e in sk.kept else "re"
+        val = edge_attribute(expr, g.edge_ids(e), authors)
+        w = float(g.weights[e])
+        if val is MISSING:
+            miss[tag] += w
+        else:
+            key = binning.key(val)
+            acc[tag][key] = acc[tag].get(key, 0.0) + w
     keys = sorted(set(acc["sk"]) | set(acc["re"]), key=lambda k: (str(type(k)), k))
     return DistributionReport(
         expr=expr,

@@ -336,24 +336,29 @@ def open_text(path, newline=None):
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def read_edge_tsv(path):
-    records = []
+def _tsv_fields(path):
+    """(line number, tab-separated fields) for each line of `path` that is
+    neither blank nor a `#` comment."""
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 2:
-                records.append((parts[0], parts[1]))
-            elif len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: bad weight {parts[2]!r}")
-                records.append((parts[0], parts[1], w))
-            else:
-                raise InputError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line.split("\t")
+
+
+def read_edge_tsv(path):
+    records = []
+    for lineno, parts in _tsv_fields(path):
+        if len(parts) == 2:
+            records.append((parts[0], parts[1]))
+        elif len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: bad weight {parts[2]!r}")
+            records.append((parts[0], parts[1], w))
+        else:
+            raise InputError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
     return build_graph(records)
 
 
@@ -382,3 +387,30 @@ def write_edge_tsv(g, fh, flags=None, flag_name="in_backbone"):
             fh.write(f"{u}\t{v}\t{w}\n")
         else:
             fh.write(f"{u}\t{v}\t{w}\t{1 if e in flags else 0}\n")
+
+
+def read_edge_flags(g, path):
+    """The edge positions of g flagged 1 in a `u\tv\tweight\tflag` file, as
+    `write_edge_tsv(g, fh, flags=...)` writes it.  The file must list every
+    edge of g exactly once, in either orientation, flagged 0 or 1;
+    InputError otherwise."""
+    seen = set()
+    kept = set()
+    for lineno, parts in _tsv_fields(path):
+        if len(parts) != 4:
+            raise InputError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        u, v, _, flag = parts
+        if flag not in ("0", "1"):
+            raise InputError(f"{path}:{lineno}: flag {flag!r} is neither 0 nor 1")
+        try:
+            e = g.edge_pos(u, v)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if e in seen:
+            raise InputError(f"{path}:{lineno}: edge ({u!r}, {v!r}) is listed twice")
+        seen.add(e)
+        if flag == "1":
+            kept.add(e)
+    if len(seen) != g.m:
+        raise InputError(f"{path}: lists {len(seen)} of the graph's {g.m} edges")
+    return frozenset(kept)

@@ -34,7 +34,7 @@ class CorrelationCell:
     tau: Optional[float]
 
 
-MEASURES = (Measure.DEGREE, Measure.PAGERANK, Measure.BETWEENNESS, Measure.CLOSENESS)
+MEASURES = tuple(Measure)
 
 
 def clustering_global(g: Graph) -> float:

@@ -38,8 +38,6 @@ class TieBreak(Enum):
 class SkeletonResult:
     kept: frozenset  # edge positions in the source graph
     removed: tuple  # ordered ((u_id, v_id), objective value after removal)
-    objective: Objective
-    source_m: int  # edge count of the graph the skeleton was extracted from
 
 
 def _inv_pairs(deg):
@@ -241,13 +239,11 @@ def extract_convex_skeleton(
     return SkeletonResult(
         kept=frozenset(int(p) for p in np.flatnonzero(live.alive)),
         removed=tuple(removed),
-        objective=objective,
-        source_m=g.m,
     )
 
 
 def _check_match(g, sk):
-    if sk.source_m != g.m or len(sk.kept) + len(sk.removed) != g.m:
+    if len(sk.kept) + len(sk.removed) != g.m:
         raise InputError("skeleton does not match this graph")
     for p in sk.kept:
         if not 0 <= p < g.m:

@@ -513,6 +513,35 @@ def maximum_spanning_tree_loop(g, order):
     return frozenset(chosen)
 
 
+def distribution_report_subgraphs(g, sk, expr, authors, binning):
+    """`coauthor.distribution_report` as it was first written: one pass over
+    the skeleton subgraph and one over the remainder subgraph.  Returns
+    (bins, skeleton weights, remainder weights, missing skeleton, missing
+    remainder)."""
+    from convexa import MISSING, edge_attribute, remainder, skeleton_graph
+
+    parts = {"sk": skeleton_graph(g, sk), "re": remainder(g, sk)}
+    acc = {"sk": {}, "re": {}}
+    miss = {"sk": 0.0, "re": 0.0}
+    for tag, sub in parts.items():
+        for e in range(sub.m):
+            val = edge_attribute(expr, sub.edge_ids(e), authors)
+            w = float(sub.weights[e])
+            if val is MISSING:
+                miss[tag] += w
+            else:
+                key = binning.key(val)
+                acc[tag][key] = acc[tag].get(key, 0.0) + w
+    keys = sorted(set(acc["sk"]) | set(acc["re"]), key=lambda k: (str(type(k)), k))
+    return (
+        tuple(binning.bounds(k) for k in keys),
+        tuple(acc["sk"].get(k, 0.0) for k in keys),
+        tuple(acc["re"].get(k, 0.0) for k in keys),
+        miss["sk"],
+        miss["re"],
+    )
+
+
 def random_graph(rng, n, p, connected=False, weighted=False):
     """Seeded random graph over zero-padded string ids (build_graph records)."""
     from convexa import build_graph

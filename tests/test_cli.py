@@ -423,6 +423,29 @@ def test_distributions_rejects_bad_bins(workdir, flags):
     _refused(workdir, r, out)
 
 
+def test_distributions_sidecar_records_the_bin_origin(workdir):
+    # two runs that differ only in --bin-origin write different CSVs
+    metas = []
+    for origin in ("0", "2"):
+        out = workdir / f"dist_origin_{origin}.csv"
+        r = run("distributions", "--input", str(workdir / "tree.tsv"),
+                "--authors", str(workdir / "authors.csv"), "--expr", "ABS_DIFF(birth_year)",
+                "--bin-width", "10", "--bin-origin", origin, "--output", str(out))
+        assert r.returncode == 0, r.stderr
+        metas.append((workdir / (out.name + ".meta.json")).read_text())
+    assert metas[0] != metas[1]
+    assert json.loads(metas[1])["config"]["bin_origin"] == 2.0
+
+
+@pytest.mark.parametrize("kind", ["mst", "skeleton"])
+def test_backbone_m_without_a_budget_is_refused(workdir, kind):
+    # only the top-m kinds have an edge budget
+    out = workdir / f"bb_m_{kind}.tsv"
+    r = run("backbone", "--input", str(workdir / "toc.tsv"), "--kind", kind,
+            "--m", "3", "--output", str(out))
+    _refused(workdir, r, out)
+
+
 #: case -> (the input it replaces, that input's bytes, extra flags)
 MALFORMED = {
     "empty-papers": ("papers", b"", []),

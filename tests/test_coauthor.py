@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +19,8 @@ from convexa import (
     extract_convex_skeleton,
 )
 from convexa.coauthor import filter_years, pair_weight, parse_expr
+from convexa.skeleton import Objective
+from oracles import distribution_report_subgraphs, random_graph
 
 
 def paper(pid, authors, **attrs):
@@ -193,6 +196,31 @@ def test_distribution_missing_bin():
         + rep.missing_remainder
     )
     assert total == pytest.approx(g.total_weight)
+
+
+def test_distribution_matches_the_subgraph_passes_bit_for_bit():
+    # one pass over g's edges sums each tag in the order of its own subgraph
+    rng = np.random.default_rng(13)
+    for k in range(40):
+        g = random_graph(rng, int(rng.integers(2, 25)), 0.3, connected=True)
+        # weights whose float sums round, so the summation order shows
+        g = build_graph([(*g.edge_ids(e), float(rng.uniform(0.1, 3))) for e in range(g.m)])
+        objective = (Objective.GLOBAL_TRANSITIVITY, Objective.AVERAGE_LOCAL)[k % 2]
+        sk = extract_convex_skeleton(g, objective=objective)
+        authors = {
+            v: {"y": float(rng.uniform(1950, 2000)), "g": str(rng.integers(3))}
+            if rng.random() < 0.8 else {}
+            for v in g.ids
+        }
+        for expr, binning in (
+            (AttrExpr("ABS_DIFF", "y"), Binning(width=float(rng.uniform(0.5, 9)))),
+            (AttrExpr("MEAN", "y"), Binning(width=3.0, origin=1.5)),
+            (AttrExpr("SAME", "g"), Binning()),
+        ):
+            rep = distribution_report(g, sk, expr, authors, binning)
+            got = (rep.bins, rep.skeleton_weight, rep.remainder_weight,
+                   rep.missing_skeleton, rep.missing_remainder)
+            assert got == distribution_report_subgraphs(g, sk, expr, authors, binning)
 
 
 def test_filter_years():

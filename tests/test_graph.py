@@ -11,6 +11,7 @@ from convexa import (
     build_graph,
     connected_components,
     is_bridge,
+    read_edge_flags,
     read_edge_tsv,
     write_edge_tsv,
 )
@@ -170,6 +171,54 @@ def test_tsv_bad_weight(tmp_path):
     p.write_text("a\tb\tnotanumber\n")
     with pytest.raises(InputError):
         read_edge_tsv(p)
+
+
+def _flagged_lines(g, flags):
+    import io
+
+    buf = io.StringIO()
+    write_edge_tsv(g, buf, flags=flags, flag_name="in_skeleton")
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def test_flagged_tsv_round_trip(tmp_path):
+    rng = np.random.default_rng(5)
+    p = tmp_path / "flags.tsv"
+    for g in random_corpus(rng, 30):
+        flags = {e for e in range(g.m) if rng.random() < 0.5}
+        lines = _flagged_lines(g, flags)
+        # every other edge line written as `v u`
+        for i in range(1, len(lines), 2):
+            u, v, rest = lines[i].split("\t", 2)
+            lines[i] = f"{v}\t{u}\t{rest}"
+        p.write_text("".join(lines))
+        assert read_edge_flags(g, p) == flags
+
+
+@pytest.mark.parametrize("case", ["three-fields", "listed-twice", "missing-edge", "flag-not-0-or-1"])
+def test_flagged_tsv_rejects_malformed_files(tmp_path, case):
+    g = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
+    lines = _flagged_lines(g, {0, 2})  # a comment line, then one line per edge
+    if case == "three-fields":
+        lines[2] = "b\tc\t1\n"
+    elif case == "listed-twice":
+        lines.insert(3, "c\tb\t1\t0\n")
+    elif case == "missing-edge":
+        del lines[3]
+    else:
+        lines[1] = lines[1].replace("\t1\n", "\tyes\n")
+    p = tmp_path / "flags.tsv"
+    p.write_text("".join(lines))
+    with pytest.raises(InputError) as exc:
+        read_edge_flags(g, p)
+    if case == "three-fields":
+        assert f"{p}:3: expected 4 tab-separated fields" in str(exc.value)
+    elif case == "listed-twice":
+        assert f"{p}:4: " in str(exc.value) and "listed twice" in str(exc.value)
+    elif case == "missing-edge":
+        assert str(exc.value) == f"{p}: lists 2 of the graph's 3 edges"
+    else:
+        assert f"{p}:2: flag 'yes' is neither 0 nor 1" in str(exc.value)
 
 
 def test_labels_match_the_loop_on_random_graphs():

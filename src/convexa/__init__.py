@@ -6,7 +6,6 @@ from .backbones import (
     BackboneKind,
     backbone_graph,
     edge_betweenness,
-    embeddedness,
     embeddedness_scores,
     maximum_spanning_tree,
     top_m_edge_backbone,
@@ -34,23 +33,15 @@ from .coauthor import (
 )
 from .convexity import (
     ConvexityScore,
-    ExpansionProfile,
     convex_hull,
     convexity,
-    expansion_run,
     is_convex,
     is_tree_of_cliques,
 )
 from .errors import ConvergenceError, ConvexaError, DisconnectedError, InputError
 from .graph import (
-    UNREACHABLE,
-    DistanceRow,
     Graph,
-    bfs_distances,
-    biconnected_components,
     build_graph,
-    connected_components,
-    is_bridge,
     is_connected,
     read_edge_flags,
     read_edge_tsv,

@@ -24,21 +24,6 @@ def _arcs(indptr, nodes):
 # ---------------------------------------------------------------------------
 # BFS and common neighbours
 
-def bfs_one(indptr, indices, n, source):
-    """Hop distances from `source`, int32, -1 for unreachable; one frontier
-    of arcs per layer, so O(n + m) work."""
-    dist = np.full(n, -1, np.int32)
-    dist[source] = 0
-    frontier = np.array([source])
-    d = 0
-    while frontier.size:
-        d += 1
-        child = indices[_arcs(indptr, frontier)[0]]
-        frontier = np.unique(child[dist[child] < 0])
-        dist[frontier] = d
-    return dist
-
-
 def bfs_all(A):
     """All-pairs hop distances, int32, -1 for unreachable, from the dense 0/1
     float32 adjacency `A`.  All sources advance together, one layer per

@@ -15,10 +15,10 @@ from .skeleton import TieBreak
 
 
 class BackboneKind(Enum):
-    MAX_SPANNING_TREE = "max_spanning_tree"
-    HIGH_BETWEENNESS = "high_betweenness"
-    HIGH_EMBEDDEDNESS = "high_embeddedness"
-    CONVEX_SKELETON = "convex_skeleton"
+    MAX_SPANNING_TREE = "mst"
+    HIGH_BETWEENNESS = "betweenness"
+    HIGH_EMBEDDEDNESS = "embeddedness"
+    CONVEX_SKELETON = "skeleton"
 
 
 @dataclass(frozen=True)
@@ -60,24 +60,15 @@ def edge_betweenness(g: Graph) -> dict:
     return {g.edge_ids(e): float(scores[e]) for e in range(g.m)}
 
 
-def embeddedness(g: Graph, edge) -> float:
-    """Neighborhood-overlap tie strength |N(u) ∩ N(v)| / |N(u) ∪ N(v) − {u,v}|."""
-    u, v = edge
-    e = g.edge_pos(u, v)
-    return float(_embeddedness_all(g)[e])
-
-
-def _embeddedness_all(g: Graph) -> np.ndarray:
+def embeddedness_scores(g: Graph) -> dict:
+    """Neighborhood-overlap tie strength |N(u) ∩ N(v)| / |N(u) ∪ N(v) − {u,v}|
+    per edge."""
     cn = g.common_neighbors
     deg = g.degrees
     # |N(u) ∪ N(v) − {u,v}| = deg(u) + deg(v) − 2 − cn
     denom = deg[g.edge_idx[:, 0]] + deg[g.edge_idx[:, 1]] - 2 - cn
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom > 0, cn / denom, 0.0)
-
-
-def embeddedness_scores(g: Graph) -> dict:
-    vals = _embeddedness_all(g)
+        vals = np.where(denom > 0, cn / denom, 0.0)
     return {g.edge_ids(e): float(vals[e]) for e in range(g.m)}
 
 

@@ -24,15 +24,12 @@ class Measure(Enum):
 
 @dataclass(frozen=True)
 class CentralityVector:
-    measure: Measure
     values: dict  # node id -> value
 
 
 def degree_centrality(g: Graph) -> CentralityVector:
     deg = g.degrees
-    return CentralityVector(
-        Measure.DEGREE, {g.ids[i]: float(deg[i]) for i in range(g.n)}
-    )
+    return CentralityVector({g.ids[i]: float(deg[i]) for i in range(g.n)})
 
 
 def pagerank(
@@ -41,7 +38,7 @@ def pagerank(
     """Power iteration on the bidirected graph, dangling mass spread uniformly."""
     n = g.n
     if n == 0:
-        return CentralityVector(Measure.PAGERANK, {})
+        return CentralityVector({})
     deg = g.degrees.astype(np.float64)
     dangling = deg == 0
     # A @ x as a sum over each node's neighbours in CSR order
@@ -57,9 +54,7 @@ def pagerank(
         residual = float(np.abs(new - p).sum())
         p = new
         if residual < tol:
-            return CentralityVector(
-                Measure.PAGERANK, {g.ids[i]: float(p[i]) for i in range(n)}
-            )
+            return CentralityVector({g.ids[i]: float(p[i]) for i in range(n)})
     raise ConvergenceError(
         f"PageRank did not converge in {max_iter} iterations (residual {residual:g})",
         residual=residual,
@@ -69,9 +64,7 @@ def pagerank(
 def betweenness(g: Graph) -> CentralityVector:
     """Exact Brandes betweenness, unnormalized, unordered pairs, per component."""
     vals = g.brandes[0]
-    return CentralityVector(
-        Measure.BETWEENNESS, {g.ids[i]: float(vals[i]) for i in range(g.n)}
-    )
+    return CentralityVector({g.ids[i]: float(vals[i]) for i in range(g.n)})
 
 
 def closeness(g: Graph) -> CentralityVector:
@@ -83,7 +76,7 @@ def closeness(g: Graph) -> CentralityVector:
     total = D.sum(axis=1, dtype=np.int64) + (n - r)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(r > 1, ((r - 1) / (n - 1)) * ((r - 1) / total), 0.0)
-    return CentralityVector(Measure.CLOSENESS, dict(zip(g.ids, vals.tolist())))
+    return CentralityVector(dict(zip(g.ids, vals.tolist())))
 
 
 def top_k(vec: CentralityVector, k: int):

@@ -59,18 +59,6 @@ from .synth import GeneratorSpec, Kind, generate
 
 DEFAULT_SEED = 42
 
-_OBJECTIVES = {
-    "transitivity": Objective.GLOBAL_TRANSITIVITY,
-    "average_local": Objective.AVERAGE_LOCAL,
-}
-_TIE_BREAKS = {"lex": TieBreak.LEX_SMALLEST, "random": TieBreak.RANDOM}
-_BACKBONE_NAMES = {
-    "skeleton": BackboneKind.CONVEX_SKELETON,
-    "mst": BackboneKind.MAX_SPANNING_TREE,
-    "betweenness": BackboneKind.HIGH_BETWEENNESS,
-    "embeddedness": BackboneKind.HIGH_EMBEDDEDNESS,
-}
-
 
 def fmt(x):
     """Deterministic number formatting for CSV cells."""
@@ -189,7 +177,7 @@ def cmd_convexity(args):
     seed = _resolve_seed(args)
     score = convexity(g, runs=args.runs, seed=seed)
     rows = [["t", "s_t"]]
-    for t, s in enumerate(score.profile.s):
+    for t, s in enumerate(score.profile):
         rows.append([t, fmt(float(s))])
     config = {"input": args.input, "runs": args.runs, "seed": seed, "x": score.x}
     emit(
@@ -200,18 +188,33 @@ def cmd_convexity(args):
             "x": score.x,
             "runs": args.runs,
             "seed": seed,
-            "profile": [float(s) for s in score.profile.s],
+            "profile": [float(s) for s in score.profile],
         },
     )
     print(f"convexity X = {fmt(score.x)} ({args.runs} runs, seed {seed})")
     return 0
 
 
+def _skeleton_flags(args, objective, tie_break):
+    """Give --objective and --tie-break their defaults where this run uses
+    them (`objective`, `tie_break` true), and refuse either flag where it
+    would be ignored.  An unused flag stays None: its sidecar key is null."""
+    for dest, used, default in (
+        ("objective", objective, Objective.GLOBAL_TRANSITIVITY.value),
+        ("tie_break", tie_break, TieBreak.LEX_SMALLEST.value),
+    ):
+        if used and getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif not used and getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"{flag} would be ignored: this run extracts no skeleton")
+
+
 def _skeleton_of(g, args, seed):
     return extract_convex_skeleton(
         g,
-        objective=_OBJECTIVES[args.objective],
-        tie_break=_TIE_BREAKS[args.tie_break],
+        objective=Objective(args.objective),
+        tie_break=TieBreak(args.tie_break),
         seed=seed,
     )
 
@@ -219,6 +222,7 @@ def _skeleton_of(g, args, seed):
 def cmd_skeleton(args):
     g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
+    _skeleton_flags(args, objective=True, tie_break=True)
     sk = _skeleton_of(g, args, seed)
     ef, wf = retained_weight_fraction(g, sk)
     buf = io.StringIO()
@@ -261,7 +265,7 @@ def _make_backbone(g, kind, args, seed, sk=None):
     """The `kind` backbone of g.  The top-m kinds keep --m edges, by default
     as many as the convex skeleton `sk`, which is extracted here when it is
     needed and not given."""
-    tie_break = _TIE_BREAKS[args.tie_break]
+    tie_break = TieBreak(args.tie_break)
     if kind is BackboneKind.MAX_SPANNING_TREE:
         return maximum_spanning_tree(g, tie_break=tie_break, seed=seed)
     if sk is None and (kind is BackboneKind.CONVEX_SKELETON or args.m is None):
@@ -279,9 +283,12 @@ def _make_backbone(g, kind, args, seed, sk=None):
 def cmd_backbone(args):
     g = read_edge_tsv(args.input)
     seed = _resolve_seed(args)
-    kind = _BACKBONE_NAMES[args.kind]
-    if args.m is not None and args.kind in ("mst", "skeleton"):
+    kind = BackboneKind(args.kind)
+    mst = kind is BackboneKind.MAX_SPANNING_TREE
+    if args.m is not None and (mst or kind is BackboneKind.CONVEX_SKELETON):
         raise InputError(f"--m sets the edge budget of a top-m kind; {args.kind} takes none")
+    # every kind but mst is built from the skeleton, unless --m sets the budget
+    _skeleton_flags(args, objective=not mst and args.m is None, tie_break=True)
     b = _make_backbone(g, kind, args, seed)
     buf = io.StringIO()
     flag = "in_skeleton" if kind is BackboneKind.CONVEX_SKELETON else "in_backbone"
@@ -309,13 +316,17 @@ def cmd_compare(args):
     seed = _resolve_seed(args)
     kinds = [k.strip() for k in args.backbones.split(",") if k.strip()]
     for k in kinds:
-        if k not in _BACKBONE_NAMES:
+        if k not in {kind.value for kind in BackboneKind}:
             raise InputError(f"unknown backbone kind {k!r}")
-    sk = _skeleton_of(g, args, seed)
+    # one skeleton serves every kind but the spanning tree (the top-m kinds
+    # keep as many edges as the skeleton)
+    extracts = bool(set(kinds) - {BackboneKind.MAX_SPANNING_TREE.value})
+    _skeleton_flags(args, objective=extracts, tie_break=bool(kinds))
+    sk = _skeleton_of(g, args, seed) if extracts else None
     columns = {"network": descriptive_stats(g, convexity_runs=args.runs, seed=seed)}
     backbones = {}  # name -> (backbone, its graph), one graph object each
     for name in kinds:
-        b = _make_backbone(g, _BACKBONE_NAMES[name], args, seed, sk)
+        b = _make_backbone(g, BackboneKind(name), args, seed, sk)
         sub = backbone_graph(g, b)
         backbones[name] = b, sub
         columns[name] = descriptive_stats(sub, convexity_runs=args.runs, seed=seed)
@@ -428,6 +439,7 @@ def cmd_distributions(args):
     binning = Binning(width=args.bin_width, origin=args.bin_origin)
     if expr.kind == "SAME":
         binning = Binning()
+    _skeleton_flags(args, objective=not args.skeleton, tie_break=not args.skeleton)
     if args.skeleton:
         sk = _skeleton_from_tsv(g, args.skeleton)
     else:
@@ -521,8 +533,9 @@ def _add_common(p, seed=True, output=True):
 
 
 def _add_skeleton_opts(p):
-    p.add_argument("--objective", choices=sorted(_OBJECTIVES), default="transitivity")
-    p.add_argument("--tie-break", choices=sorted(_TIE_BREAKS), default="lex")
+    """--objective and --tie-break; None marks a flag not given (see `_skeleton_flags`)."""
+    p.add_argument("--objective", choices=sorted(o.value for o in Objective), default=None)
+    p.add_argument("--tie-break", choices=sorted(t.value for t in TieBreak), default=None)
 
 
 def build_parser():
@@ -546,7 +559,7 @@ def build_parser():
 
     p = sub.add_parser("backbone", help="extract one backbone")
     p.add_argument("--input", required=True)
-    p.add_argument("--kind", choices=sorted(_BACKBONE_NAMES), required=True)
+    p.add_argument("--kind", choices=sorted(k.value for k in BackboneKind), required=True)
     p.add_argument("--m", type=int, default=None, help="edge budget for top-m kinds (default: skeleton size)")
     _add_skeleton_opts(p)
     _add_common(p)

@@ -159,7 +159,6 @@ class Binning:
 
 @dataclass(frozen=True)
 class DistributionReport:
-    expr: AttrExpr
     bins: tuple  # ordered bin labels (bounds tuple or category)
     skeleton_weight: tuple
     remainder_weight: tuple
@@ -185,7 +184,6 @@ def distribution_report(
             acc[tag][key] = acc[tag].get(key, 0.0) + w
     keys = sorted(set(acc["sk"]) | set(acc["re"]), key=lambda k: (str(type(k)), k))
     return DistributionReport(
-        expr=expr,
         bins=tuple(binning.bounds(k) for k in keys),
         skeleton_weight=tuple(acc["sk"].get(k, 0.0) for k in keys),
         remainder_weight=tuple(acc["re"].get(k, 0.0) for k in keys),

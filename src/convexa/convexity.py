@@ -22,17 +22,9 @@ from .graph import Graph, is_clique, is_connected
 
 
 @dataclass(frozen=True)
-class ExpansionProfile:
-    n: int
-    s: np.ndarray  # length n; s[t] = average fraction of captured nodes after step t
-    runs: int
-
-
-@dataclass(frozen=True)
 class ConvexityScore:
     x: float
-    profile: ExpansionProfile
-    seed: int
+    profile: np.ndarray  # length n; s_t = average fraction of captured nodes after step t
 
 
 def _require_connected(g):
@@ -156,24 +148,17 @@ def _expansion_block(g, rngs):
 
 
 def _expansion_totals(g, rngs):
+    """Sum over the runs of |S| after each step t = 0 .. n-1, one run per
+    generator in `rngs`.  A run starts from a uniform node, then repeatedly
+    pushes the outer end of a uniform cut edge and re-closes the set.  It
+    draws `integers(n)` once, then `integers(number of cut edges)` per step
+    until the set is full."""
     # blocks of at most RUN_BLOCK_ELEMENTS // (n + m) runs (at least one)
     k = max(1, RUN_BLOCK_ELEMENTS // (g.n + g.m))
     totals = np.zeros(g.n, dtype=np.int64)
     for s in range(0, len(rngs), k):
         totals += _expansion_block(g, rngs[s:s + k])
     return totals
-
-
-def expansion_run(g: Graph, rng) -> list:
-    """One expansion run; returns |S| after each step t = 0 .. n-1.
-
-    The run starts from a uniform node, then repeatedly pushes the outer end
-    of a uniform cut edge and re-closes the set.  It draws `integers(n)`
-    once, then `integers(number of cut edges)` per step until the set is
-    full.
-    """
-    _require_connected(g)
-    return _expansion_totals(g, [rng]).tolist()
 
 
 def convexity(g: Graph, runs: int = 100, *, seed: int) -> ConvexityScore:
@@ -203,8 +188,7 @@ def convexity(g: Graph, runs: int = 100, *, seed: int) -> ConvexityScore:
         if d > 0:
             excess += d
     x = 1.0 - excess / (runs * n)
-    profile = ExpansionProfile(n=n, s=totals / (runs * n), runs=runs)
-    return ConvexityScore(x=x, profile=profile, seed=seed)
+    return ConvexityScore(x=x, profile=totals / (runs * n))
 
 
 def is_tree_of_cliques(g: Graph) -> bool:

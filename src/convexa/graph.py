@@ -10,7 +10,7 @@ weights and self-loops are dropped (counted).
 import io
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,16 +19,6 @@ from . import _kernels
 from .errors import InputError
 
 log = logging.getLogger(__name__)
-
-#: distance value for nodes not reachable from the source
-UNREACHABLE = math.inf
-
-
-@dataclass(frozen=True)
-class DistanceRow:
-    source: str
-    dist: dict  # node id -> int hop count, or UNREACHABLE
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -197,28 +187,6 @@ def build_graph(edge_records, isolated_nodes=()):
 # ---------------------------------------------------------------------------
 # traversal / decomposition
 
-def bfs_distances(g, source):
-    if source not in g.index:
-        raise InputError(f"unknown source node {source!r}")
-    indptr, indices, _ = g.csr
-    dist = _kernels.bfs_one(indptr, indices, g.n, g.index[source])
-    return DistanceRow(
-        source=source,
-        dist={
-            g.ids[i]: (int(dist[i]) if dist[i] >= 0 else UNREACHABLE)
-            for i in range(g.n)
-        },
-    )
-
-
-def connected_components(g):
-    """Node partition, largest component first, ties by smallest member id."""
-    comps = {}
-    for i, lab in enumerate(g.labels.tolist()):
-        comps.setdefault(lab, set()).add(g.ids[i])
-    return sorted(comps.values(), key=lambda c: (-len(c), min(c)))
-
-
 def find(parent, x):
     """Root of x in the union-find forest `parent` (a list), halving the
     path on the way."""
@@ -298,28 +266,11 @@ def biconnected_edge_blocks(n, edge_idx):
     return blocks
 
 
-def biconnected_components(g):
-    """Blocks as frozensets of (u_id, v_id) edges."""
-    return [frozenset(g.edge_ids(e) for e in blk) for blk in g.blocks]
-
-
-def bridges(g):
-    """Edge positions of all bridges (singleton blocks)."""
-    return {blk[0] for blk in g.blocks if len(blk) == 1}
-
-
 def is_clique(edge_idx, block):
     """True iff the edges at positions `block` of `edge_idx` are every pair
     of the nodes they touch."""
     k = len(set(edge_idx[np.asarray(block)].ravel().tolist()))
     return len(block) == k * (k - 1) // 2
-
-
-def is_bridge(g, edge):
-    """True iff removing the edge increases the component count."""
-    u, v = edge
-    e = g.edge_pos(u, v)
-    return e in bridges(g)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ from .graph import Graph, biconnected_edge_blocks, is_clique, is_connected
 
 
 class Objective(Enum):
-    GLOBAL_TRANSITIVITY = "global_transitivity"
+    GLOBAL_TRANSITIVITY = "transitivity"
     AVERAGE_LOCAL = "average_local"
 
 
 class TieBreak(Enum):
-    LEX_SMALLEST = "lex_smallest"
+    LEX_SMALLEST = "lex"
     RANDOM = "random"
 
 

@@ -19,6 +19,14 @@ class Kind(Enum):
     STAR = "star"
 
 
+#: the parameters each kind reads; the others read only n
+_PARAMS = {
+    Kind.ER_RANDOM: {"n", "p"},
+    Kind.TREE_OF_CLIQUES: {"cliques", "smin", "smax"},
+    Kind.TRIANGULAR_LATTICE: {"rows", "cols"},
+}
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: Kind
@@ -44,7 +52,14 @@ def _need(params, key, default=None):
 
 
 def generate(spec: GeneratorSpec) -> Graph:
+    """The graph of `spec`.  ConvexaError for a parameter its kind does not
+    read, a missing one, or a value out of range."""
     k, p = spec.kind, spec.params
+    unused = sorted(set(p) - _PARAMS.get(k, {"n"}))
+    if unused:
+        raise ConvexaError(f"generator {k.value} takes no parameter {', '.join(unused)}")
+    if "n" in p and int(p["n"]) < 0:
+        raise ConvexaError(f"n must be >= 0, got {p['n']}")
     if k is Kind.COMPLETE:
         n = int(_need(p, "n"))
         lab = _labels(n)
@@ -96,14 +111,13 @@ def generate(spec: GeneratorSpec) -> Graph:
         mask = rng.random(len(iu[0])) < prob
         edges = [(lab[i], lab[j]) for i, j in zip(iu[0][mask], iu[1][mask])]
         return build_graph(edges, isolated_nodes=lab)
-    if k is Kind.TREE_OF_CLIQUES:
-        return _tree_of_cliques(
-            int(_need(p, "cliques")),
-            int(_need(p, "smin", 2)),
-            int(_need(p, "smax", 5)),
-            spec.seed,
-        )
-    raise ConvexaError(f"unknown generator kind {k}")
+    # the one kind left, TREE_OF_CLIQUES
+    return _tree_of_cliques(
+        int(_need(p, "cliques")),
+        int(_need(p, "smin", 2)),
+        int(_need(p, "smax", 5)),
+        spec.seed,
+    )
 
 
 def _tree_of_cliques(cliques, smin, smax, seed):

@@ -618,3 +618,42 @@ def kendall_tau_pairs(a, b):
     tied_a = int((da == 0).sum())
     tied_b = int((db == 0).sum())
     return (concordant - discordant) / math.sqrt((n0 - tied_a) * (n0 - tied_b))
+
+
+# ---------------------------------------------------------------------------
+# per-node and per-edge views of the library's results, for the tests that
+# read them by id
+
+def connected_components(g):
+    """Node partition from `Graph.labels`, largest component first, ties by
+    smallest member id."""
+    comps = {}
+    for i, lab in enumerate(g.labels.tolist()):
+        comps.setdefault(lab, set()).add(g.ids[i])
+    return sorted(comps.values(), key=lambda c: (-len(c), min(c)))
+
+
+def biconnected_components(g):
+    """`Graph.blocks` as frozensets of (u_id, v_id) edges."""
+    return [frozenset(g.edge_ids(e) for e in blk) for blk in g.blocks]
+
+
+def is_bridge(g, edge):
+    """True iff the edge (u_id, v_id), in either orientation, is a block of
+    its own; InputError for an edge not in g."""
+    return (g.edge_pos(*edge),) in g.blocks
+
+
+def embeddedness(g, edge):
+    """`embeddedness_scores` of the edge (u_id, v_id), in either orientation."""
+    from convexa import embeddedness_scores
+
+    return embeddedness_scores(g)[g.edge_ids(g.edge_pos(*edge))]
+
+
+def expansion_run(g, rng):
+    """One expansion run drawing from `rng`: |S| after each step t = 0 .. n-1."""
+    import importlib
+
+    convexity_module = importlib.import_module("convexa.convexity")
+    return convexity_module._expansion_totals(g, [rng]).tolist()

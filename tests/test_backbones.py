@@ -9,9 +9,7 @@ from convexa import (
     InputError,
     backbone_graph,
     build_graph,
-    connected_components,
     edge_betweenness,
-    embeddedness,
     embeddedness_scores,
     extract_convex_skeleton,
     maximum_spanning_tree,
@@ -19,7 +17,9 @@ from convexa import (
 )
 from convexa.skeleton import TieBreak
 from oracles import (
+    connected_components,
     edge_betweenness_oracle,
+    embeddedness,
     max_spanning_tree_weight_oracle,
     maximum_spanning_tree_loop,
     random_graph,

@@ -446,6 +446,55 @@ def test_backbone_m_without_a_budget_is_refused(workdir, kind):
     _refused(workdir, r, out)
 
 
+#: case -> argv of a run that extracts no skeleton but is given a flag that
+#: steers extraction (SK stands for a skeleton file)
+SKELETON_FLAG_IGNORED = {
+    "backbone-mst": ["backbone", "--kind", "mst", "--objective", "average_local"],
+    "backbone-top-m": ["backbone", "--kind", "betweenness", "--m", "3", "--objective", "transitivity"],
+    "compare-mst": ["compare", "--backbones", "mst", "--objective", "average_local"],
+    "compare-none": ["compare", "--backbones", "", "--tie-break", "random"],
+    "distributions-objective": ["distributions", "--skeleton", "SK", "--objective", "average_local"],
+    "distributions-tie-break": ["distributions", "--skeleton", "SK", "--tie-break", "lex"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SKELETON_FLAG_IGNORED))
+def test_skeleton_flags_without_a_skeleton_are_refused(workdir, case):
+    argv = list(SKELETON_FLAG_IGNORED[case])
+    if argv[0] == "distributions":
+        sk = workdir / "sk_given.tsv"
+        r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "2", "--output", str(sk))
+        assert r.returncode == 0, r.stderr
+        argv = [str(sk) if a == "SK" else a for a in argv]
+        argv += ["--authors", str(workdir / "authors.csv"), "--expr", "SAME(gender)"]
+    out = workdir / f"ignored_flag_{case}"
+    target = "--output-dir" if argv[0] == "compare" else "--output"
+    r = run(*argv, "--input", str(workdir / "toc.tsv"), target, str(out))
+    _refused(workdir, r, out)
+    assert "would be ignored" in r.stderr
+
+
+@pytest.mark.parametrize("kind, objective", [
+    ("mst", None), ("betweenness", "transitivity"), ("skeleton", "transitivity"),
+])
+def test_backbone_sidecar_records_objective_only_where_used(workdir, kind, objective):
+    out = workdir / f"bb_objective_{kind}.tsv"
+    r = run("backbone", "--input", str(workdir / "toc.tsv"), "--kind", kind,
+            "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    config = json.loads((workdir / (out.name + ".meta.json")).read_text())["config"]
+    assert config["objective"] == objective and config["tie_break"] == "lex"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "star", "--n", "4", "--smin", "2", "--cliques", "9", "--p", "0.3"],
+    ["--kind", "complete", "--n", "-5"],
+], ids=["star-unused-params", "complete-negative-n"])
+def test_generate_refuses_bad_parameters(workdir, argv):
+    out = workdir / f"gen_refused_{argv[1]}.tsv"
+    _refused(workdir, run("generate", *argv, "--output", str(out)), out)
+
+
 #: case -> (the input it replaces, that input's bytes, extra flags)
 MALFORMED = {
     "empty-papers": ("papers", b"", []),

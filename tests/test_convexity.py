@@ -13,7 +13,6 @@ from convexa import (
     build_graph,
     convex_hull,
     convexity,
-    expansion_run,
     extract_convex_skeleton,
     is_convex,
     is_tree_of_cliques,
@@ -21,7 +20,9 @@ from convexa import (
 from convexa import graph as graph_module
 from convexa.synth import GeneratorSpec, Kind, generate
 from oracles import (
+    connected_components,
     convex_hull_oracle,
+    expansion_run,
     expansion_run_loop,
     hull_close_loop,
     is_convex_oracle,
@@ -134,16 +135,15 @@ def test_convexity_reproducible():
     a = convexity(g, runs=30, seed=77)
     b = convexity(g, runs=30, seed=77)
     assert a.x == b.x
-    assert np.array_equal(a.profile.s, b.profile.s)
+    assert np.array_equal(a.profile, b.profile)
 
 
 def test_profile_invariants():
     rng = np.random.default_rng(4)
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(4, 15)), 0.3, connected=True)
-        prof = convexity(g, runs=20, seed=5).profile
-        n = prof.n
-        s = prof.s
+        s = convexity(g, runs=20, seed=5).profile
+        n = g.n
         assert s[0] == 1 / n
         assert s[1] == 2 / n
         assert np.all(np.diff(s) >= 0)
@@ -200,8 +200,6 @@ def test_tree_of_cliques_implies_every_connected_subset_convex():
                 g.edge_ids(e) for e in range(g.m) if set(g.edge_ids(e)) <= s
             ]
             sub = build_graph(sub_edges, isolated_nodes=s)
-            from convexa import connected_components
-
             if len(connected_components(sub)) == 1:
                 assert is_convex(g, s)
 
@@ -230,7 +228,7 @@ def test_tree_of_cliques_closed_form_matches_monte_carlo(g, runs, seed):
     for r in range(runs):
         totals += np.array(expansion_run(g, np.random.default_rng([seed, r])), dtype=np.int64)
     assert score.x == 1.0
-    assert score.profile.s.tobytes() == (totals / (runs * g.n)).tobytes()
+    assert score.profile.tobytes() == (totals / (runs * g.n)).tobytes()
 
 
 def test_convexity_checks_connectivity_once_per_graph():
@@ -240,7 +238,7 @@ def test_convexity_checks_connectivity_once_per_graph():
         graph_module, "component_labels", wraps=graph_module.component_labels
     ) as labels:
         convexity(g, runs=10, seed=0)
-        expansion_run(g, np.random.default_rng(0))
+        convex_hull(g, g.ids[:2])
     assert labels.call_count == 1
 
 
@@ -312,8 +310,8 @@ def test_lockstep_runs_match_loop_reference(g, runs, seed, per_block):
         score = convexity(g, runs=runs, seed=seed)
         with mock.patch.object(convexity_module, "_expansion_totals", lambda g, rngs: ref):
             loop = convexity(g, runs=runs, seed=seed)
-    assert score.profile.s.tobytes() == (ref / (runs * g.n)).tobytes()
-    assert score.profile.s.tobytes() == loop.profile.s.tobytes()
+    assert score.profile.tobytes() == (ref / (runs * g.n)).tobytes()
+    assert score.profile.tobytes() == loop.profile.tobytes()
     assert score.x == loop.x
     one = expansion_run(g, np.random.default_rng([seed, 0]))
     assert one == expansion_run_loop(g, np.random.default_rng([seed, 0]))

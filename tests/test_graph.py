@@ -3,20 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from convexa import (
-    UNREACHABLE,
-    InputError,
-    bfs_distances,
+from convexa import InputError, build_graph, read_edge_flags, read_edge_tsv, write_edge_tsv
+from convexa.graph import component_labels
+from oracles import (
     biconnected_components,
-    build_graph,
+    component_labels_loop,
     connected_components,
     is_bridge,
-    read_edge_flags,
-    read_edge_tsv,
-    write_edge_tsv,
+    random_corpus,
+    random_graph,
 )
-from convexa.graph import component_labels
-from oracles import component_labels_loop, random_corpus, random_graph
 
 
 def test_duplicate_records_merge_by_weight_sum():
@@ -52,25 +48,18 @@ def test_isolated_nodes_included():
 
 def test_bfs_path():
     g = build_graph([("a", "b"), ("b", "c")])
-    assert bfs_distances(g, "a").dist == {"a": 0, "b": 1, "c": 2}
+    assert g.dist_matrix[g.index["a"]].tolist() == [0, 1, 2]
 
 
 def test_bfs_clique():
     g = build_graph([(u, v) for u in "abcd" for v in "abcd" if u < v])
-    row = bfs_distances(g, "c").dist
-    assert row == {"a": 1, "b": 1, "c": 0, "d": 1}
+    assert g.dist_matrix[g.index["c"]].tolist() == [1, 1, 0, 1]
 
 
 def test_bfs_unreachable():
     g = build_graph([("a", "b"), ("c", "d")])
-    row = bfs_distances(g, "a").dist
-    assert row["c"] is UNREACHABLE and row["d"] is UNREACHABLE
-
-
-def test_bfs_unknown_source():
-    g = build_graph([("a", "b")])
-    with pytest.raises(InputError):
-        bfs_distances(g, "zzz")
+    row = g.dist_matrix[g.index["a"]]
+    assert row[g.index["c"]] == -1 and row[g.index["d"]] == -1
 
 
 def test_components_ordering():
@@ -138,11 +127,10 @@ def test_block_edge_counts_partition_edges():
 def test_bfs_triangle_inequality_sampled():
     rng = np.random.default_rng(3)
     g = random_graph(rng, 12, 0.3, connected=True)
-    rows = {v: bfs_distances(g, v).dist for v in g.ids}
-    ids = list(g.ids)
+    D = g.dist_matrix
     for _ in range(200):
-        a, b, c = rng.choice(ids, 3)
-        assert rows[a][c] <= rows[a][b] + rows[b][c]
+        a, b, c = rng.choice(g.n, 3)
+        assert D[a, c] <= D[a, b] + D[b, c]
 
 
 def test_component_sizes_sum_to_n():

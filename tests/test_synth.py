@@ -75,3 +75,22 @@ def test_invalid_params():
         generate(GeneratorSpec(Kind.CYCLE, {"n": 2}))
     with pytest.raises(ConvexaError):
         generate(GeneratorSpec(Kind.ER_RANDOM, {}))
+
+
+@pytest.mark.parametrize("kind, params", [
+    (Kind.STAR, {"n": 4, "smin": 2}),
+    (Kind.STAR, {"n": 4, "cliques": 9, "p": 0.3}),
+    (Kind.ER_RANDOM, {"n": 5, "p": 0.5, "rows": 2}),
+    (Kind.TRIANGULAR_LATTICE, {"rows": 2, "cols": 2, "n": 4}),
+    (Kind.TREE_OF_CLIQUES, {"cliques": 3, "n": 10}),
+], ids=["star-smin", "star-cliques-p", "er-rows", "lattice-n", "toc-n"])
+def test_unused_params_refused(kind, params):
+    with pytest.raises(ConvexaError, match="takes no parameter"):
+        generate(GeneratorSpec(kind, params))
+
+
+@pytest.mark.parametrize("kind", [Kind.COMPLETE, Kind.PATH, Kind.ER_RANDOM])
+def test_negative_n_refused(kind):
+    params = {"n": -5, "p": 0.5} if kind is Kind.ER_RANDOM else {"n": -5}
+    with pytest.raises(ConvexaError, match="n must be >= 0"):
+        generate(GeneratorSpec(kind, params))

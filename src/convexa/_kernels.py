@@ -157,20 +157,6 @@ def brandes(indptr, indices, edge_id, n, m):
 # ---------------------------------------------------------------------------
 # geodesic hull closure
 
-def _sweep(D, A, on, nodes):
-    # w lies on a u-v geodesic for some member v iff w is an ancestor of a
-    # member in u's BFS DAG: sweep every pair's layers from its deepest
-    # member up, marking the parents of marked nodes.  `on` starts as each
-    # pair's row of members (modified in place).  Layer 0 is u itself, a
-    # member, so the sweep stops at layer 1.  The 0/1 float32 products are
-    # exact (sums of at most n < 2**24 ones).
-    Dn = D[nodes]
-    for d in range(int(np.where(on, Dn, 0).max()), 1, -1):
-        parents = (on & (Dn == d)).astype(np.float32) @ A > 0
-        on |= parents & (Dn == d - 1)
-    return on
-
-
 def hull_close(D, A, members, rows, nodes):
     """Close each row of the (k, n) bool block `members` (modified in place)
     under geodesic betweenness, after pushing node nodes[i] into row
@@ -184,6 +170,18 @@ def hull_close(D, A, members, rows, nodes):
     pairs share a sweep (at least one), so its (pairs, n) temporaries stay
     within about the size of `D` whatever the number of rows and pairs, and
     wide BLAS products pay for themselves on large graphs.
+
+    w lies on a u-v geodesic for some member v iff w is an ancestor of a
+    member in u's BFS DAG, so a sweep runs each pair's layers from its
+    deepest member up to layer 1 (layer 0 is u itself, a member), marking
+    the parents of marked nodes.  Members are marked from the start, so only
+    the columns C that are not yet in every row of the sweep can gain a
+    mark, and a layer deeper than max D[u, C] + 1 marks none of them: the
+    sweep skips a chunk with no such column and starts at the shallower of
+    the two layers.  Sets are nearly full when they are swept, so C is often
+    a few percent of n; while |C| <= n / 2 each layer multiplies by A[:, C]
+    alone, gathered once per sweep, and writes only the columns C.  The 0/1
+    float32 products are exact (sums of at most n < 2**24 ones).
     """
     n = D.shape[0]
     rows = np.asarray(rows, np.intp)
@@ -197,7 +195,19 @@ def hull_close(D, A, members, rows, nodes):
         before = members[grown]
         for s in range(0, rows.size, step):
             r = rows[s:s + step]
-            on = _sweep(D, A, members[r], nodes[s:s + step])
+            on = members[r]
+            cols = np.flatnonzero(~on.all(axis=0))
+            if not cols.size:
+                continue
+            Dn = D[nodes[s:s + step]]
+            Dc = Dn[:, cols]
+            top = min(int(np.where(on, Dn, 0).max()), int(Dc.max()) + 1)
+            if 2 * cols.size > n:
+                cols, Dc = slice(None), Dn  # a wide sweep reads A with no gather
+            Ac = A[:, cols]
+            for d in range(top, 1, -1):
+                parents = (on & (Dn == d)).astype(np.float32) @ Ac > 0
+                on[:, cols] |= parents & (Dc == d - 1)
             # pairs are sorted by row: OR each row's pairs together
             ur, at = np.unique(r, return_index=True)
             members[ur] |= np.logical_or.reduceat(on, at, axis=0)

@@ -55,7 +55,7 @@ from .skeleton import (
     retained_weight_fraction,
     skeleton_graph,
 )
-from .synth import GeneratorSpec, Kind, generate
+from .synth import RANDOM_KINDS, GeneratorSpec, Kind, generate
 
 DEFAULT_SEED = 42
 
@@ -140,18 +140,25 @@ def with_meta(texts, args, config):
     return files
 
 
-def emit(args, config, csv_text, json_obj, extra=None):
-    """Write the primary output (CSV, or JSON with --format json), its
-    .meta.json sidecar and the `extra` {path: text} files, all or nothing."""
+def emit(args, config, csv_text, to_json, extra=None):
+    """Write the primary output (CSV, or with --format json the object that
+    `to_json()` builds, called only then), its .meta.json sidecar and the
+    `extra` {path: text} files, all or nothing."""
     if args.format == "json":
-        text = json.dumps(json_obj, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(to_json(), sort_keys=True, indent=2) + "\n"
     else:
         text = csv_text
     write_files({**with_meta({args.output: text}, args, config), **(extra or {})})
 
 
-def _resolve_seed(args):
-    """--seed, else $CONVEXA_SEED, else DEFAULT_SEED."""
+def _resolve_seed(args, used=True):
+    """--seed, else $CONVEXA_SEED, else DEFAULT_SEED.  A run that draws no
+    random numbers (`used` false) gets None, its sidecar records a null
+    seed, and an explicit --seed is refused."""
+    if not used:
+        if args.seed is not None:
+            raise InputError("--seed would be ignored: this run draws no random numbers")
+        return None
     if args.seed is not None:
         return args.seed
     env = os.environ.get("CONVEXA_SEED")
@@ -184,7 +191,7 @@ def cmd_convexity(args):
         args,
         config,
         csv_text(rows),
-        {
+        lambda: {
             "x": score.x,
             "runs": args.runs,
             "seed": seed,
@@ -245,7 +252,7 @@ def cmd_skeleton(args):
         args,
         config,
         buf.getvalue(),
-        {
+        lambda: {
             "kept": [list(g.edge_ids(e)) for e in sorted(sk.kept)],
             "removed": [[u, v, val] for (u, v), val in sk.removed],
             "edge_fraction": ef,
@@ -282,13 +289,14 @@ def _make_backbone(g, kind, args, seed, sk=None):
 
 def cmd_backbone(args):
     g = read_edge_tsv(args.input)
-    seed = _resolve_seed(args)
     kind = BackboneKind(args.kind)
     mst = kind is BackboneKind.MAX_SPANNING_TREE
     if args.m is not None and (mst or kind is BackboneKind.CONVEX_SKELETON):
         raise InputError(f"--m sets the edge budget of a top-m kind; {args.kind} takes none")
     # every kind but mst is built from the skeleton, unless --m sets the budget
     _skeleton_flags(args, objective=not mst and args.m is None, tie_break=True)
+    # the lex spanning tree draws no random numbers
+    seed = _resolve_seed(args, used=not mst or args.tie_break == TieBreak.RANDOM.value)
     b = _make_backbone(g, kind, args, seed)
     buf = io.StringIO()
     flag = "in_skeleton" if kind is BackboneKind.CONVEX_SKELETON else "in_backbone"
@@ -305,7 +313,7 @@ def cmd_backbone(args):
         args,
         config,
         buf.getvalue(),
-        {"kind": args.kind, "edges": [list(g.edge_ids(e)) for e in sorted(b.edges)]},
+        lambda: {"kind": args.kind, "edges": [list(g.edge_ids(e)) for e in sorted(b.edges)]},
     )
     print(f"backbone {args.kind}: {len(b.edges)} edges")
     return 0
@@ -371,7 +379,7 @@ def cmd_centrality(args):
         args,
         config,
         csv_text(rows),
-        {m.value: vecs[m].values for m in measures},
+        lambda: {m.value: vecs[m].values for m in measures},
     )
     return 0
 
@@ -388,7 +396,7 @@ def cmd_rank(args):
         args,
         config,
         csv_text(rows),
-        {"measure": args.measure, "ranking": [[n, v] for n, v in ranked]},
+        lambda: {"measure": args.measure, "ranking": [[n, v] for n, v in ranked]},
     )
     return 0
 
@@ -412,7 +420,7 @@ def cmd_buildnet(args):
         args,
         config,
         buf.getvalue(),
-        {
+        lambda: {
             "nodes": list(g.ids),
             "edges": [
                 [*g.edge_ids(e), float(g.weights[e])] for e in range(g.m)
@@ -433,7 +441,8 @@ def _skeleton_from_tsv(g, path):
 
 def cmd_distributions(args):
     g = read_edge_tsv(args.input)
-    seed = _resolve_seed(args)
+    # a skeleton read from a file draws no random numbers
+    seed = _resolve_seed(args, used=not args.skeleton)
     expr = parse_expr(args.expr)
     # bad bin flags are refused even where SAME's category bins ignore them
     binning = Binning(width=args.bin_width, origin=args.bin_origin)
@@ -475,7 +484,7 @@ def cmd_distributions(args):
         args,
         config,
         csv_text(rows),
-        {
+        lambda: {
             "expr": str(expr),
             "bins": [list(b) if isinstance(b, tuple) else b for b in rep.bins],
             "skeleton_weight": list(rep.skeleton_weight),
@@ -487,7 +496,8 @@ def cmd_distributions(args):
 
 
 def cmd_generate(args):
-    seed = _resolve_seed(args)
+    kind = Kind(args.kind)
+    seed = _resolve_seed(args, used=kind in RANDOM_KINDS)
     params = {}
     for key in ("n", "cliques", "smin", "smax", "rows", "cols"):
         val = getattr(args, key)
@@ -495,7 +505,7 @@ def cmd_generate(args):
             params[key] = val
     if args.p is not None:
         params["p"] = args.p
-    g = generate(GeneratorSpec(Kind(args.kind), params, seed=seed))
+    g = generate(GeneratorSpec(kind, params, seed=0 if seed is None else seed))
     buf = io.StringIO()
     write_edge_tsv(g, buf)
     config = {"kind": args.kind, "params": params, "seed": seed}
@@ -503,7 +513,7 @@ def cmd_generate(args):
         args,
         config,
         buf.getvalue(),
-        {"nodes": list(g.ids), "edges": [[*g.edge_ids(e)] for e in range(g.m)]},
+        lambda: {"nodes": list(g.ids), "edges": [[*g.edge_ids(e)] for e in range(g.m)]},
     )
     print(f"generated {args.kind}: {g.n} nodes, {g.m} edges")
     return 0
@@ -515,7 +525,7 @@ def cmd_stats(args):
     s = descriptive_stats(g, convexity_runs=args.runs, seed=seed)
     rows = [["statistic", "value"], *_stat_rows([s])]
     config = {"input": args.input, "runs": args.runs, "seed": seed}
-    emit(args, config, csv_text(rows), asdict(s))
+    emit(args, config, csv_text(rows), lambda: asdict(s))
     return 0
 
 

@@ -26,6 +26,9 @@ _PARAMS = {
     Kind.TRIANGULAR_LATTICE: {"rows", "cols"},
 }
 
+#: the kinds that draw random numbers from GeneratorSpec.seed
+RANDOM_KINDS = frozenset({Kind.ER_RANDOM, Kind.TREE_OF_CLIQUES})
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:

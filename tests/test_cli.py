@@ -486,6 +486,51 @@ def test_backbone_sidecar_records_objective_only_where_used(workdir, kind, objec
     assert config["objective"] == objective and config["tie_break"] == "lex"
 
 
+#: case -> argv of a run that draws no random numbers (IN and TREE stand for
+#: input graphs, SK for the skeleton file of TREE)
+UNSEEDED = {
+    "backbone-mst": ["backbone", "--input", "IN", "--kind", "mst"],
+    "backbone-mst-lex": ["backbone", "--input", "IN", "--kind", "mst", "--tie-break", "lex"],
+    "distributions-skeleton": ["distributions", "--input", "TREE", "--skeleton", "SK",
+                               "--authors", "AUTHORS", "--expr", "SAME(gender)"],
+    **{f"generate-{kind}": ["generate", "--kind", kind, "--n", "5"]
+       for kind in ("path", "cycle", "complete", "star")},
+    "generate-triangular_lattice": ["generate", "--kind", "triangular_lattice",
+                                    "--rows", "2", "--cols", "3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSEEDED))
+def test_seed_is_refused_and_null_where_nothing_is_random(workdir, case):
+    sk = workdir / "sk_unseeded.tsv"
+    if not sk.exists():
+        r = run("skeleton", "--input", str(workdir / "tree.tsv"), "--runs", "2", "--output", str(sk))
+        assert r.returncode == 0, r.stderr
+    paths = {"IN": workdir / "toc.tsv", "TREE": workdir / "tree.tsv", "SK": sk,
+             "AUTHORS": workdir / "authors.csv"}
+    argv = [str(paths.get(a, a)) for a in UNSEEDED[case]]
+    out = workdir / f"unseeded_{case}"
+    r = run(*argv, "--seed", "3", "--output", str(out))
+    _refused(workdir, r, out)
+    assert "--seed would be ignored" in r.stderr
+    # $CONVEXA_SEED is not read either, not even to check it
+    r = run(*argv, "--output", str(out), env={"CONVEXA_SEED": "not-a-number"})
+    assert r.returncode == 0, r.stderr
+    assert json.loads((workdir / (out.name + ".meta.json")).read_text())["config"]["seed"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["backbone", "--input", "IN", "--kind", "mst", "--tie-break", "random"],
+    ["generate", "--kind", "er_random", "--n", "5", "--p", "0.5"],
+], ids=["backbone-mst-random", "generate-er_random"])
+def test_seed_is_recorded_where_it_is_drawn_from(workdir, argv):
+    argv = [str(workdir / "toc.tsv") if a == "IN" else a for a in argv]
+    out = workdir / f"seeded_{argv[0]}"
+    r = run(*argv, "--seed", "3", "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads((workdir / (out.name + ".meta.json")).read_text())["config"]["seed"] == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["--kind", "star", "--n", "4", "--smin", "2", "--cliques", "9", "--p", "0.3"],
     ["--kind", "complete", "--n", "-5"],

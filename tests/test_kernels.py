@@ -105,6 +105,39 @@ def test_hull_close_rows_match_loop_per_row(g, data):
     assert np.array_equal(members, ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.data())
+def test_hull_close_nearly_full_rows_match_loop_per_row(g, data):
+    # rows closed from more than n / 2 seeds are nearly full, so few columns
+    # can change and their chunks sweep only those columns; one row, at any
+    # position, is a single seed, and its pairs share a chunk with those of
+    # the nearly full row beside it, so that chunk sweeps the union of their
+    # complements from the capped start layer
+    D = g.dist_matrix
+    nodes = st.integers(0, g.n - 1)
+    k = data.draw(st.integers(2, 6))
+    sparse = data.draw(st.integers(0, k - 1))
+    members = np.zeros((k, g.n), dtype=bool)
+    for r in range(k):
+        if r == sparse:
+            members[r, data.draw(nodes)] = True
+        else:
+            seeds = data.draw(st.lists(nodes, min_size=g.n // 2 + 1, max_size=g.n, unique=True))
+            hull_close_loop(D, members[r], np.array(seeds, np.int32))
+    beside = sparse - 1 if sparse else 1
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, k - 1), nodes), min_size=1, unique=True))
+    pairs = list(dict.fromkeys(pairs + [(sparse, data.draw(nodes)), (beside, data.draw(nodes))]))
+    rows = np.array([r for r, _ in pairs])
+    pushed = np.array([v for _, v in pairs])
+    ref = members.copy()
+    for r in range(k):
+        batch = pushed[rows == r].astype(np.int32)
+        if batch.size:
+            hull_close_loop(D, ref[r], batch)
+    _kernels.hull_close(D, g.adjacency, members, rows, pushed)
+    assert np.array_equal(members, ref)
+
+
 def _expansion_totals_loop(g, rngs):
     return sum(np.array(expansion_run_loop(g, rng), dtype=np.int64) for rng in rngs)
 

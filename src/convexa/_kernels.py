@@ -7,6 +7,8 @@ that the kernels must match exactly (all logic is integer/boolean, and
 float sums keep the loops' order).
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -125,12 +127,24 @@ def _brandes_block(indptr, indices, edge_id, n, m, sources):
         edge[edge_key] = term
         delta[layers[d]] = dep
         dep = np.bincount(parent, weights=term, minlength=layers[d - 1].size)
-    # the sources' own dependencies (the last `dep`) are not betweenness
-    return delta.reshape(k, n), edge.reshape(k, m)
+    # the sources' own dependencies (the last `dep`) are not betweenness;
+    # each of a row's n - reach unreached entries is a -1 in its dist sum
+    dist = dist.reshape(k, n)
+    reach = (dist >= 0).sum(axis=1)
+    dist_sum = dist.sum(axis=1, dtype=np.int64) + (n - reach)
+    return delta.reshape(k, n), edge.reshape(k, m), reach, dist_sum
+
+
+class BrandesPass(NamedTuple):
+    node: np.ndarray  # betweenness per node
+    edge: np.ndarray  # betweenness per edge
+    reach: np.ndarray  # per source: nodes reached, itself included, int64
+    dist_sum: np.ndarray  # per source: sum of its hop distances to them, int64
 
 
 def brandes(indptr, indices, edge_id, n, m):
-    """Exact Brandes betweenness of every node and every edge in one pass.
+    """Exact Brandes betweenness of every node and every edge in one pass,
+    with each source's reach and exact distance sum read off its BFS.
 
     Unordered pairs, per component, unnormalised.  Sources run in blocks of
     k with k * (n + 2m) <= BRANDES_BLOCK_ELEMENTS (at least one), each block
@@ -141,17 +155,21 @@ def brandes(indptr, indices, edge_id, n, m):
     """
     node = np.zeros(n)
     edge = np.zeros(m)
+    reach = np.zeros(n, np.int64)
+    dist_sum = np.zeros(n, np.int64)
     if n == 0:
-        return node, edge
+        return BrandesPass(node, edge, reach, dist_sum)
     k = max(1, BRANDES_BLOCK_ELEMENTS // (n + 2 * m))
     for start in range(0, n, k):
         sources = np.arange(start, min(start + k, n))
-        delta, terms = _brandes_block(indptr, indices, edge_id, n, m, sources)
+        delta, terms, reach[sources], dist_sum[sources] = _brandes_block(
+            indptr, indices, edge_id, n, m, sources
+        )
         # per-source terms are added in source order, as in the loop
         for r in range(sources.size):
             node += delta[r]
             edge += terms[r]
-    return node * 0.5, edge * 0.5
+    return BrandesPass(node * 0.5, edge * 0.5, reach, dist_sum)
 
 
 # ---------------------------------------------------------------------------

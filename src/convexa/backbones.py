@@ -56,7 +56,7 @@ def maximum_spanning_tree(
 
 def edge_betweenness(g: Graph) -> dict:
     """Exact geodesic betweenness per edge, unordered pairs, per component."""
-    scores = g.brandes[1]
+    scores = g.brandes.edge
     return {g.edge_ids(e): float(scores[e]) for e in range(g.m)}
 
 

@@ -63,17 +63,18 @@ def pagerank(
 
 def betweenness(g: Graph) -> CentralityVector:
     """Exact Brandes betweenness, unnormalized, unordered pairs, per component."""
-    vals = g.brandes[0]
+    vals = g.brandes.node
     return CentralityVector({g.ids[i]: float(vals[i]) for i in range(g.n)})
 
 
 def closeness(g: Graph) -> CentralityVector:
-    """Reachable-set corrected closeness: ((r-1)/(n-1)) * ((r-1)/sum of distances)."""
+    """Reachable-set corrected closeness: ((r-1)/(n-1)) * ((r-1)/sum of
+    distances), with r the nodes reached, the node itself included.  The
+    reach counts and exact distance sums come from the cached Brandes pass
+    (`Graph.brandes`), which they serve only here and in
+    `netstats.mean_distance`: no distance matrix, O(n + m) memory."""
     n = g.n
-    D = g.dist_matrix
-    r = (D >= 0).sum(axis=1)  # reachable nodes, the node itself included
-    # each of the n - r unreachable entries is a -1 sentinel in the row sum
-    total = D.sum(axis=1, dtype=np.int64) + (n - r)
+    r, total = g.brandes.reach, g.brandes.dist_sum
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(r > 1, ((r - 1) / (n - 1)) * ((r - 1) / total), 0.0)
     return CentralityVector(dict(zip(g.ids, vals.tolist())))

@@ -407,6 +407,8 @@ def cmd_buildnet(args):
     g = build_coauthorship(papers, CountingScheme(args.scheme))
     buf = io.StringIO()
     write_edge_tsv(g, buf)
+    # authors with solo papers only have no edge, so the TSV cannot hold them
+    isolated = int((g.degrees == 0).sum())
     config = {
         "papers": args.papers,
         "paper_meta": args.paper_meta,
@@ -415,6 +417,7 @@ def cmd_buildnet(args):
         "year_max": args.year_max,
         "nodes": g.n,
         "edges": g.m,
+        "isolated": isolated,
     }
     emit(
         args,
@@ -427,7 +430,10 @@ def cmd_buildnet(args):
             ],
         },
     )
-    print(f"built {args.scheme}-counting network: {g.n} nodes, {g.m} edges")
+    print(
+        f"built {args.scheme}-counting network: {g.n} nodes, {g.m} edges, "
+        f"{isolated} isolated (not in the edge list)"
+    )
     return 0
 
 

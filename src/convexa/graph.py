@@ -73,12 +73,15 @@ class Graph:
 
     @cached_property
     def dist_matrix(self):
-        """All-pairs hop distances, int32, -1 for unreachable."""
+        """All-pairs hop distances, int32, -1 for unreachable: O(n^2) memory.
+        Only the convexity Monte Carlo and `convex_hull` read it; closeness
+        and mean distance read `brandes` instead."""
         return _kernels.bfs_all(self.adjacency)
 
     @cached_property
     def brandes(self):
-        """(node, edge) exact betweenness arrays, from one Brandes pass."""
+        """`_kernels.BrandesPass` of exact node and edge betweenness and each
+        node's reach and distance sum, from one Brandes pass."""
         indptr, indices, edge_id = self.csr
         return _kernels.brandes(indptr, indices, edge_id, self.n, self.m)
 
@@ -92,8 +95,8 @@ class Graph:
 
     @cached_property
     def adjacency(self):
-        """Dense 0/1 adjacency, float32 (the BLAS operand of all-pairs BFS and
-        of the hull-closure sweep)."""
+        """Dense 0/1 adjacency, float32: O(n^2) memory.  The BLAS operand of
+        `dist_matrix` and of the hull-closure sweep, its only users."""
         A = np.zeros((self.n, self.n), np.float32)
         A[self.edge_idx[:, 0], self.edge_idx[:, 1]] = 1
         A[self.edge_idx[:, 1], self.edge_idx[:, 0]] = 1

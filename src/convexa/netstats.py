@@ -74,16 +74,24 @@ def assortativity(g: Graph) -> Optional[float]:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def _largest_component_mask(g: Graph):
+    """Bool mask of g's largest component; of equal largest components, the
+    one holding the smallest node id."""
+    if g.connected:
+        return np.ones(g.n, dtype=bool)
+    # labels are each component's smallest node index, and ids are sorted,
+    # so argmax's first maximum is the tied component with the smallest id
+    vals, counts = np.unique(g.labels, return_counts=True)
+    return g.labels == vals[np.argmax(counts)]
+
+
 def largest_component_graph(g: Graph):
     """(subgraph induced on the LCC, LCC node fraction); a connected graph
     is its own LCC.  Of equal largest components, the one holding the
     smallest node id wins."""
     if g.connected:
         return g, 1.0
-    # labels are each component's smallest node index, and ids are sorted,
-    # so argmax's first maximum is the tied component with the smallest id
-    vals, counts = np.unique(g.labels, return_counts=True)
-    keep = g.labels == vals[np.argmax(counts)]
+    keep = _largest_component_mask(g)
     # a monotone renumbering keeps the edges lexsorted
     new_index = (np.cumsum(keep) - 1).astype(np.int32)
     sub_e = keep[g.edge_idx[:, 0]]
@@ -96,15 +104,21 @@ def largest_component_graph(g: Graph):
 
 
 def mean_distance(g: Graph) -> float:
-    """Mean hop distance over the node pairs of a connected graph."""
-    if g.n < 2:
+    """Mean hop distance over the node pairs of g's largest component (0.0
+    when it has fewer than 2 nodes), from the exact distance sums of g's
+    cached Brandes pass: no distance matrix and no separate LCC graph."""
+    keep = _largest_component_mask(g)
+    k = int(keep.sum())
+    if k < 2:
         return 0.0
-    # each pair counted twice, exactly: the integer sum is below 2**53
-    return int(g.dist_matrix.sum(dtype=np.int64)) / (g.n * (g.n - 1))
+    # a member's sum covers exactly its component, so the LCC's sums count
+    # each of its pairs twice; the integer total is exact
+    return int(g.brandes.dist_sum[keep].sum()) / (k * (k - 1))
 
 
 def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int = 0) -> StatsRecord:
-    # one LCC object: its distance matrix serves convexity and mean distance
+    # convexity runs on the LCC; mean distance reads g's own Brandes pass,
+    # which `compare` shares with the correlation grid
     lcc, frac = largest_component_graph(g)
     if lcc.n >= 2:
         conv = convexity(lcc, runs=convexity_runs, seed=seed).x
@@ -119,7 +133,7 @@ def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int = 0) -> 
         edges=g.m,
         pct_lcc=100.0 * frac,
         mean_degree=2.0 * g.m / g.n if g.n else 0.0,
-        mean_distance=mean_distance(lcc),
+        mean_distance=mean_distance(g),
         assortativity=assort,
         clustering=clustering_global(g),
         convexity=conv,

@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -163,6 +165,88 @@ def test_compare_builds_each_backbone_graph_once(workdir, monkeypatch):
     assert len(built) == 4 and len(set(built)) == 4
 
 
+def _clustered_tsv(path, seed=3):
+    # a tree of 12 cliques plus 40 random chords, as the criterion-8 graph
+    # is built at n≈500
+    import numpy as np
+
+    import convexa as cx
+
+    toc = cx.generate(cx.GeneratorSpec(
+        cx.Kind.TREE_OF_CLIQUES, {"cliques": 12, "smin": 3, "smax": 5}, seed=seed))
+    rng = np.random.default_rng(seed)
+    have = {frozenset(toc.edge_ids(e)) for e in range(toc.m)}
+    records = [toc.edge_ids(e) for e in range(toc.m)]
+    while len(records) < toc.m + 40:
+        u, v = (str(x) for x in rng.choice(toc.ids, 2, replace=False))
+        if frozenset((u, v)) not in have:
+            have.add(frozenset((u, v)))
+            records.append((u, v))
+    buf = io.StringIO()
+    cx.write_edge_tsv(cx.build_graph(records), buf)
+    path.write_text(buf.getvalue())
+    return path
+
+
+def _forbid_dense_distances(monkeypatch):
+    # neither all-pairs BFS nor the dense adjacency may be built
+    from convexa import Graph, _kernels
+
+    def forbidden(*args):
+        raise AssertionError("dense distance matrix or adjacency built")
+
+    monkeypatch.setattr(_kernels, "bfs_all", forbidden)
+    monkeypatch.setattr(Graph, "adjacency", property(forbidden))
+
+
+@pytest.mark.parametrize("argv", [
+    ["centrality", "--measure", "all"],
+    ["rank", "--measure", "closeness"],
+    ["skeleton", "--runs", "5", "--seed", "1"],
+], ids=["centrality", "rank-closeness", "skeleton"])
+def test_runs_without_a_distance_matrix(workdir, monkeypatch, argv):
+    # closeness and mean distance read the Brandes pass, and the skeleton is
+    # a tree of cliques, whose convexity needs no Monte Carlo
+    from convexa import cli
+
+    src = _clustered_tsv(workdir / "clustered.tsv")
+    _forbid_dense_distances(monkeypatch)
+    out = workdir / f"nodense_{argv[0]}.out"
+    assert cli.main([argv[0], "--input", str(src), *argv[1:], "--output", str(out)]) == 0
+    assert out.exists()
+
+
+def test_stats_of_a_tree_of_cliques_builds_no_distance_matrix(workdir, monkeypatch):
+    import convexa as cx
+
+    g = cx.read_edge_tsv(workdir / "toc.tsv")
+    assert cx.is_tree_of_cliques(g)
+    _forbid_dense_distances(monkeypatch)
+    s = cx.descriptive_stats(g, convexity_runs=5, seed=1)
+    assert s.convexity == 1.0 and s.mean_distance > 1.0
+
+
+def test_compare_builds_distances_once_per_monte_carlo_graph(workdir, monkeypatch):
+    # only the graphs whose convexity runs the Monte Carlo build a distance
+    # matrix: the skeleton and the MST are trees of cliques
+    import importlib
+
+    from convexa import _kernels, cli
+
+    convexity_module = importlib.import_module("convexa.convexity")
+    src = _clustered_tsv(workdir / "clustered.tsv")
+    bfs_all = mock.Mock(wraps=_kernels.bfs_all)
+    mc = mock.Mock(wraps=convexity_module._expansion_totals)
+    monkeypatch.setattr(_kernels, "bfs_all", bfs_all)
+    monkeypatch.setattr(convexity_module, "_expansion_totals", mc)
+    code = cli.main(["compare", "--input", str(src), "--runs", "5", "--seed", "1",
+                     "--output-dir", str(workdir / "cmp_mc")])
+    assert code == 0
+    graphs = {id(call.args[0]) for call in mc.call_args_list}
+    assert len(graphs) == mc.call_count >= 2
+    assert bfs_all.call_count == mc.call_count
+
+
 def test_skeleton_failed_write_leaves_no_file(workdir):
     # the removal log and the primary output are written all or nothing
     log = workdir / "sk_fail_log.csv"
@@ -289,6 +373,19 @@ def test_buildnet_fractional_toy(workdir):
         rows[(u, v)] = float(w)
     # p1 {a,b,c} fractional 0.5 each pair; p2 {a,b} adds 1.0; p3 solo
     assert rows == {("a", "b"): 1.5, ("a", "c"): 0.5, ("b", "c"): 0.5}
+
+
+def test_buildnet_counts_the_isolated_authors(workdir):
+    # d has only a solo paper: a node of the network, but in no edge
+    import convexa as cx
+
+    out = workdir / "net_iso.tsv"
+    r = run("buildnet", "--papers", str(workdir / "papers.csv"), "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    config = json.loads((workdir / "net_iso.tsv.meta.json").read_text())["config"]
+    assert (config["nodes"], config["edges"], config["isolated"]) == (4, 3, 1)
+    assert "4 nodes, 3 edges, 1 isolated" in r.stdout
+    assert cx.read_edge_tsv(out).n == config["nodes"] - config["isolated"]
 
 
 def test_buildnet_year_filter(workdir):

@@ -16,6 +16,7 @@ from oracles import (
     convex_hull_oracle,
     expansion_run_loop,
     hull_close_loop,
+    random_corpus,
     random_gnm,
     random_graph,
 )
@@ -171,12 +172,22 @@ def test_random_gnm_decodes_pairs_like_the_pair_list():
             assert np.array_equal(a.edge_idx, b.edge_idx)
 
 
+def _assert_reach_matches_bfs_loop(indptr, indices, n, reach, dist_sum):
+    # reach counts and distance sums are the row counts and sums of the
+    # queue BFS's distance matrix, unreached (-1) entries left out
+    D = bfs_all_loop(indptr, indices, n)
+    assert reach.dtype == dist_sum.dtype == np.int64
+    assert np.array_equal(reach, (D >= 0).sum(axis=1))
+    assert np.array_equal(dist_sum, np.where(D >= 0, D, 0).sum(axis=1))
+
+
 def _assert_brandes_matches_loop(g):
     indptr, indices, edge_id = g.csr
-    node, edge = _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
+    node, edge, reach, dist_sum = _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
     ref_node, ref_edge = brandes_loop(indptr, indices, edge_id, g.n, g.m)
     assert np.array_equal(node, ref_node)
     assert np.array_equal(edge, ref_edge)
+    _assert_reach_matches_bfs_loop(indptr, indices, g.n, reach, dist_sum)
 
 
 def test_brandes_kernels_match_active_backend():
@@ -241,9 +252,23 @@ def test_brandes_matches_loop_when_path_counts_exceed_2_53():
     ref_node, ref_edge = brandes_loop(indptr, indices, edge_id, g.n, g.m)
     for budget in [p * (g.n + 2 * g.m) for p in (1, 2, 3)] + [_kernels.BRANDES_BLOCK_ELEMENTS]:
         with mock.patch.object(_kernels, "BRANDES_BLOCK_ELEMENTS", budget):
-            node, edge = _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
+            node, edge, reach, dist_sum = _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
         assert np.array_equal(node, ref_node)
         assert np.array_equal(edge, ref_edge)
+        _assert_reach_matches_bfs_loop(indptr, indices, g.n, reach, dist_sum)
+
+
+def test_brandes_reach_and_distance_sums_match_the_bfs_loop():
+    # random corpus graphs, disconnected ones and isolated nodes included,
+    # with the sources in one block and one at a time
+    graphs = random_corpus(np.random.default_rng(74), 40)
+    assert any(not g.connected for g in graphs)
+    for g in graphs:
+        indptr, indices, edge_id = g.csr
+        for budget in (g.n + 2 * g.m, _kernels.BRANDES_BLOCK_ELEMENTS):
+            with mock.patch.object(_kernels, "BRANDES_BLOCK_ELEMENTS", budget):
+                run = _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
+            _assert_reach_matches_bfs_loop(indptr, indices, g.n, run.reach, run.dist_sum)
 
 
 def _neighbour_sets(g):

@@ -252,6 +252,18 @@ def test_largest_component_tie_goes_to_the_smallest_member_id():
 
 
 def test_mean_distance_matches_the_triangle_mean_bit_for_bit():
+    # the mean over the largest component's pairs, from g's own Brandes pass
     for g in random_corpus(np.random.default_rng(73), 60):
-        if g.n >= 2:
-            assert mean_distance(g) == mean_distance_triu(g.dist_matrix)
+        lcc, _ = largest_component_graph(g)
+        if lcc.n >= 2:
+            assert mean_distance(g) == mean_distance_triu(lcc.dist_matrix)
+        else:
+            assert mean_distance(g) == 0.0
+
+
+def test_mean_distance_of_a_disconnected_graph_is_its_lcc_mean():
+    # no -1 sentinel enters the sum: two disjoint edges, and a 3-path plus
+    # an edge, where the path is the largest component
+    assert mean_distance(build_graph([("a", "b"), ("c", "d")])) == 1.0
+    assert mean_distance(build_graph([("a", "b"), ("b", "c"), ("x", "y")])) == 4.0 / 3.0
+    assert mean_distance(build_graph([], isolated_nodes="ab")) == 0.0

@@ -83,9 +83,10 @@ def _brandes_block(indptr, indices, edge_id, n, m, sources):
     # each layer holds its keys by source, then in that source's queue order,
     # and slot[key] is the key's index in its layer
     k = sources.size
-    idx = np.int32 if k * max(n, m) < 2**31 else np.int64
+    # slots, keys and arc indices fit int32: below k * (n + 2m) <= 2**16 when
+    # k > 1, and one source's are the int32 CSR's own node and edge indices
     dist = np.full(k * n, -1, np.int32)
-    slot = np.full(k * n, np.iinfo(idx).max, idx)
+    slot = np.full(k * n, np.iinfo(np.int32).max, np.int32)
     layer = np.arange(k) * n + sources
     dist[layer] = 0
     slot[layer] = np.arange(k)
@@ -101,14 +102,14 @@ def _brandes_block(indptr, indices, edge_id, n, m, sources):
         if d:
             up = np.flatnonzero(seen == d - 1)
             edge_key = (row * m)[owner[up]] + edge_id[pos[up]]
-            arcs.append((slot[child[up]], owner[up].astype(idx), edge_key.astype(idx)))
+            arcs.append((slot[child[up]], owner[up].astype(np.int32), edge_key.astype(np.int32)))
         new = np.flatnonzero(seen < 0)
         fresh = child[new]
         if not fresh.size:
             break
         # queue order is the order of first discovery: each key keeps its
         # smallest arc index, whatever order minimum.at applies the writes in
-        at = np.arange(fresh.size, dtype=idx)
+        at = np.arange(fresh.size, dtype=np.int32)
         np.minimum.at(slot, fresh, at)
         layer = fresh[slot[fresh] == at]
         slot[layer] = np.arange(layer.size)

@@ -54,40 +54,38 @@ def maximum_spanning_tree(
     return Backbone(BackboneKind.MAX_SPANNING_TREE, frozenset(chosen))
 
 
-def edge_betweenness(g: Graph) -> dict:
-    """Exact geodesic betweenness per edge, unordered pairs, per component."""
-    scores = g.brandes.edge
-    return {g.edge_ids(e): float(scores[e]) for e in range(g.m)}
+def edge_betweenness(g: Graph) -> np.ndarray:
+    """Exact geodesic betweenness per edge position, unordered pairs, per
+    component; a copy of the cached Brandes pass's array."""
+    return g.brandes.edge.copy()
 
 
-def embeddedness_scores(g: Graph) -> dict:
+def embeddedness_scores(g: Graph) -> np.ndarray:
     """Neighborhood-overlap tie strength |N(u) ∩ N(v)| / |N(u) ∪ N(v) − {u,v}|
-    per edge."""
+    per edge position."""
     cn = g.common_neighbors
     deg = g.degrees
     # |N(u) ∪ N(v) − {u,v}| = deg(u) + deg(v) − 2 − cn
     denom = deg[g.edge_idx[:, 0]] + deg[g.edge_idx[:, 1]] - 2 - cn
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(denom > 0, cn / denom, 0.0)
-    return {g.edge_ids(e): float(vals[e]) for e in range(g.m)}
+        return np.where(denom > 0, cn / denom, 0.0)
 
 
 def top_m_edge_backbone(
     g: Graph,
-    scores: dict,
+    scores: np.ndarray,
     m: int,
     kind: BackboneKind = BackboneKind.HIGH_BETWEENNESS,
     tie_break: TieBreak = TieBreak.LEX_SMALLEST,
     seed: int = 0,
 ) -> Backbone:
-    """The m highest-scoring edges; ties broken lexicographically or at random."""
+    """The m highest-scoring edges, `scores` holding one value per edge
+    position; ties broken lexicographically or at random."""
     if m < 1 or m > g.m:
         raise ConvexaError(f"m = {m} out of range 1 .. {g.m}")
-    pos = np.array([g.edge_pos(*edge) for edge in scores], dtype=np.int64)
-    if (np.bincount(pos, minlength=g.m) != 1).any():
-        raise InputError("scores must cover every edge exactly once")
-    vals = np.empty(g.m)
-    vals[pos] = list(scores.values())
+    if np.shape(scores) != (g.m,):
+        raise InputError(f"scores must hold one value per edge, {g.m} in all")
+    vals = np.asarray(scores, dtype=float)
     if tie_break is TieBreak.RANDOM:
         rng = np.random.default_rng(seed)
         jitter = rng.permutation(g.m)

@@ -15,6 +15,13 @@ from .errors import ConvergenceError, ConvexaError
 from .graph import Graph
 
 
+#: PageRank's damping (Brin and Page, Computer Networks 1998); an iterate's L1
+#: change is at most 2 * DAMPING**k, below TOL by k = 147, so MAX_ITER never binds
+DAMPING = 0.85
+TOL = 1e-10
+MAX_ITER = 1000
+
+
 class Measure(Enum):
     DEGREE = "degree"
     PAGERANK = "pagerank"
@@ -32,9 +39,7 @@ def degree_centrality(g: Graph) -> CentralityVector:
     return CentralityVector({g.ids[i]: float(deg[i]) for i in range(g.n)})
 
 
-def pagerank(
-    g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 1000
-) -> CentralityVector:
+def pagerank(g: Graph) -> CentralityVector:
     """Power iteration on the bidirected graph, dangling mass spread uniformly."""
     n = g.n
     if n == 0:
@@ -46,19 +51,15 @@ def pagerank(
     heads = np.repeat(np.arange(n), np.diff(indptr))
     p = np.full(n, 1.0 / n)
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
-    residual = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         spread = p * inv_deg
         pulled = np.bincount(heads, weights=spread[indices], minlength=n)
-        new = (1.0 - damping) / n + damping * (pulled + p[dangling].sum() / n)
+        new = (1.0 - DAMPING) / n + DAMPING * (pulled + p[dangling].sum() / n)
         residual = float(np.abs(new - p).sum())
         p = new
-        if residual < tol:
+        if residual < TOL:
             return CentralityVector({g.ids[i]: float(p[i]) for i in range(n)})
-    raise ConvergenceError(
-        f"PageRank did not converge in {max_iter} iterations (residual {residual:g})",
-        residual=residual,
-    )
+    raise ConvergenceError(f"PageRank did not converge in {MAX_ITER} steps (residual {residual:g})")
 
 
 def betweenness(g: Graph) -> CentralityVector:

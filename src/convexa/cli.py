@@ -450,10 +450,15 @@ def cmd_distributions(args):
     # a skeleton read from a file draws no random numbers
     seed = _resolve_seed(args, used=not args.skeleton)
     expr = parse_expr(args.expr)
-    # bad bin flags are refused even where SAME's category bins ignore them
-    binning = Binning(width=args.bin_width, origin=args.bin_origin)
-    if expr.kind == "SAME":
-        binning = Binning()
+    # refuse a bin flag the run would ignore; without numeric bins bin_origin stays null
+    numeric = args.bin_width is not None
+    if args.bin_origin is not None and not numeric:
+        raise InputError("--bin-origin would be ignored: it needs --bin-width")
+    if numeric and expr.kind == "SAME":
+        raise InputError(f"--bin-width would be ignored: {expr} bins by category")
+    if numeric and args.bin_origin is None:
+        args.bin_origin = 0.0
+    binning = Binning(args.bin_width, args.bin_origin) if numeric else Binning()
     _skeleton_flags(args, objective=not args.skeleton, tie_break=not args.skeleton)
     if args.skeleton:
         sk = _skeleton_from_tsv(g, args.skeleton)
@@ -461,17 +466,11 @@ def cmd_distributions(args):
         sk = _skeleton_of(g, args, seed)
     authors = read_authors_csv(args.authors)
     rep = distribution_report(g, sk, expr, authors, binning)
-    numeric = binning.width is not None
-    rows = [
-        ["bin_low", "bin_high", "skeleton_weight", "remainder_weight"]
-        if numeric
-        else ["category", "skeleton_weight", "remainder_weight"]
-    ]
+    head = ["bin_low", "bin_high"] if numeric else ["category"]
+    rows = [[*head, "skeleton_weight", "remainder_weight"]]
     for label, sw, rw in zip(rep.bins, rep.skeleton_weight, rep.remainder_weight):
-        if numeric:
-            rows.append([fmt(label[0]), fmt(label[1]), fmt(sw), fmt(rw)])
-        else:
-            rows.append([label, fmt(sw), fmt(rw)])
+        cells = [fmt(label[0]), fmt(label[1])] if numeric else [label]
+        rows.append([*cells, fmt(sw), fmt(rw)])
     if rep.missing_skeleton or rep.missing_remainder:
         label = ["MISSING", ""] if numeric else ["MISSING"]
         rows.append([*label, fmt(rep.missing_skeleton), fmt(rep.missing_remainder)])
@@ -619,7 +618,7 @@ def build_parser():
     p.add_argument("--authors", required=True, help="author attribute CSV")
     p.add_argument("--expr", required=True, help="e.g. ABS_DIFF(birth_year) or SAME(gender)")
     p.add_argument("--bin-width", type=float, default=None)
-    p.add_argument("--bin-origin", type=float, default=0.0)
+    p.add_argument("--bin-origin", type=float, default=None, help="needs --bin-width (default: 0)")
     _add_skeleton_opts(p)
     _add_common(p)
     p.set_defaults(func=cmd_distributions)

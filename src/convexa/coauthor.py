@@ -262,14 +262,16 @@ def read_authors_csv(path):
 
 
 def filter_years(papers, year_min=None, year_max=None):
-    out = []
-    for p in papers:
-        y = p.attrs.get("year")
-        if isinstance(y, str) and (year_min is not None or year_max is not None):
+    """The papers dated within the bounds; InputError for a bound when no
+    paper has a year, and for a year that is not a number."""
+    if year_min is None and year_max is None:
+        return list(papers)
+    years = [p.attrs.get("year") for p in papers]
+    if all(y is None for y in years):
+        raise InputError("a year bound would be ignored: no paper has a year")
+    for p, y in zip(papers, years):
+        if isinstance(y, str):
             raise InputError(f"paper {p.paper_id!r}: year {y!r} is not a number")
-        if year_min is not None and (y is None or y < year_min):
-            continue
-        if year_max is not None and (y is None or y > year_max):
-            continue
-        out.append(p)
-    return out
+    lo = -math.inf if year_min is None else year_min
+    hi = math.inf if year_max is None else year_max
+    return [p for p, y in zip(papers, years) if y is not None and lo <= y <= hi]

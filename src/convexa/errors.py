@@ -15,7 +15,3 @@ class DisconnectedError(ConvexaError):
 
 class ConvergenceError(ConvexaError):
     """An iterative numerical method failed to converge."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -116,7 +116,7 @@ def mean_distance(g: Graph) -> float:
     return int(g.brandes.dist_sum[keep].sum()) / (k * (k - 1))
 
 
-def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int = 0) -> StatsRecord:
+def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int) -> StatsRecord:
     # convexity runs on the LCC; mean distance reads g's own Brandes pass,
     # which `compare` shares with the correlation grid
     lcc, frac = largest_component_graph(g)

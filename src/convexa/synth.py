@@ -28,6 +28,8 @@ _PARAMS = {
 
 #: the kinds that draw random numbers from GeneratorSpec.seed
 RANDOM_KINDS = frozenset({Kind.ER_RANDOM, Kind.TREE_OF_CLIQUES})
+#: the draws `connected_er` makes before it gives up
+MAX_TRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,10 @@ def _tree_of_cliques(cliques, smin, smax, seed):
     return build_graph([(_label(u, width), _label(v, width)) for u, v in edges])
 
 
-def connected_er(n, p, seed, max_tries=1000):
+def connected_er(n, p, seed):
     """ER graph regenerated until connected; returns (graph, rejection count)."""
-    for attempt in range(max_tries):
+    for attempt in range(MAX_TRIES):
         g = generate(GeneratorSpec(Kind.ER_RANDOM, {"n": n, "p": p}, seed=seed + attempt))
         if is_connected(g):
             return g, attempt
-    raise ConvexaError(f"no connected ER({n}, {p}) draw in {max_tries} tries")
+    raise ConvexaError(f"no connected ER({n}, {p}) draw in {MAX_TRIES} tries")

@@ -648,7 +648,7 @@ def embeddedness(g, edge):
     """`embeddedness_scores` of the edge (u_id, v_id), in either orientation."""
     from convexa import embeddedness_scores
 
-    return embeddedness_scores(g)[g.edge_ids(g.edge_pos(*edge))]
+    return float(embeddedness_scores(g)[g.edge_pos(*edge)])
 
 
 def expansion_run(g, rng):

@@ -284,6 +284,26 @@ def test_skeleton_log_path_a_directory_keeps_existing_output(workdir):
     assert not [p for p in os.listdir(workdir) if p.startswith(".convexa-")]
 
 
+def test_convergence_failure_exits_4(workdir, monkeypatch, capsys):
+    import importlib
+
+    from convexa import ConvergenceError, Measure, cli
+
+    centrality = importlib.import_module("convexa.centrality")
+
+    def diverge(g):
+        raise ConvergenceError("PageRank did not converge")
+
+    monkeypatch.setitem(centrality._MEASURE_FN, Measure.PAGERANK, diverge)
+    out = workdir / "rank_diverged.csv"
+    code = cli.main(["rank", "--input", str(workdir / "c4.tsv"), "--measure", "pagerank",
+                     "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "error: PageRank did not converge\n"
+    assert not out.exists()
+    assert not (workdir / (out.name + ".meta.json")).exists()
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
 def test_outputs_get_mode_from_umask(workdir, umask):
     from convexa import cli
@@ -398,6 +418,21 @@ def test_buildnet_year_filter(workdir):
     assert len(rows) == 3 and all(r[2] == "1" for r in rows)  # only p1 kept
 
 
+@pytest.mark.parametrize("meta", [None, b"paper_id,venue\np1,X\np2,Y\n"],
+                         ids=["no-paper-meta", "meta-without-year"])
+@pytest.mark.parametrize("bound", ["--year-min", "--year-max"])
+def test_buildnet_year_bound_without_years_is_refused(workdir, meta, bound):
+    argv = ["buildnet", "--papers", str(workdir / "papers.csv")]
+    if meta is not None:
+        path = workdir / "paper_meta_no_year.csv"
+        path.write_bytes(meta)
+        argv += ["--paper-meta", str(path)]
+    out = workdir / f"net_no_years_{bound}_{meta is None}.tsv"
+    r = run(*argv, bound, "2000", "--output", str(out))
+    _refused(workdir, r, out)
+    assert "no paper has a year" in r.stderr
+
+
 def test_distributions_pipeline(workdir):
     out = workdir / "dist.csv"
     r = run("distributions", "--input", str(workdir / "net.tsv")
@@ -431,6 +466,20 @@ def test_distributions_same_category(workdir):
             "--expr", "SAME(gender)", "--output", str(out))
     assert r.returncode == 0, r.stderr
     assert out.read_text().startswith("category,skeleton_weight,remainder_weight")
+
+
+@pytest.mark.parametrize("expr, flags, origin", [
+    ("SAME(gender)", [], None),
+    ("ABS_DIFF(birth_year)", [], None),
+    ("ABS_DIFF(birth_year)", ["--bin-width", "10"], 0.0),
+], ids=["same", "numeric-categories", "numeric-bins"])
+def test_distributions_sidecar_bin_origin_only_with_numeric_bins(workdir, expr, flags, origin):
+    out = workdir / f"dist_origin_{'_'.join([expr[:4], *flags])}.csv"
+    r = run("distributions", "--input", str(workdir / "tree.tsv"),
+            "--authors", str(workdir / "authors.csv"), "--expr", expr, *flags,
+            "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads((workdir / (out.name + ".meta.json")).read_text())["config"]["bin_origin"] == origin
 
 
 def test_distributions_rejects_skeleton_listing_an_edge_twice(workdir):
@@ -518,6 +567,21 @@ def test_distributions_rejects_bad_bins(workdir, flags):
             "--authors", str(workdir / "authors.csv"), "--expr", "ABS_DIFF(birth_year)",
             *flags, "--output", str(out))
     _refused(workdir, r, out)
+
+
+@pytest.mark.parametrize("expr, flags", [
+    ("ABS_DIFF(birth_year)", ["--bin-origin", "3"]),
+    ("SAME(gender)", ["--bin-origin", "2"]),
+    ("SAME(gender)", ["--bin-width", "5"]),
+    ("SAME(gender)", ["--bin-width", "5", "--bin-origin", "2"]),
+], ids=["origin-without-width", "same-origin", "same-width", "same-width-origin"])
+def test_distributions_bin_flags_that_would_be_ignored_are_refused(workdir, expr, flags):
+    out = workdir / f"dist_ignored_{expr[:4]}_{'_'.join(flags)}.csv"
+    r = run("distributions", "--input", str(workdir / "tree.tsv"),
+            "--authors", str(workdir / "authors.csv"), "--expr", expr, *flags,
+            "--output", str(out))
+    _refused(workdir, r, out)
+    assert "would be ignored" in r.stderr
 
 
 def test_distributions_sidecar_records_the_bin_origin(workdir):

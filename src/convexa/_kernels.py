@@ -210,7 +210,7 @@ def hull_close(D, A, members, rows, nodes):
     order = np.argsort(rows, kind="stable")
     rows, nodes = rows[order], nodes[order]
     while rows.size:
-        grown = np.unique(rows)
+        grown = rows[np.r_[True, rows[1:] != rows[:-1]]]  # rows are sorted
         before = members[grown]
         for s in range(0, rows.size, step):
             r = rows[s:s + step]

@@ -9,6 +9,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
 from .graph import Graph, find, is_connected
 from .skeleton import TieBreak
@@ -35,8 +36,7 @@ def maximum_spanning_tree(
         raise DisconnectedError("spanning tree requires a connected graph")
     if tie_break is TieBreak.RANDOM:
         # random order within equal-weight groups
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(g.m)
+        perm = Stream(seed).permutation(g.m)
         order = perm[np.argsort(-g.weights[perm], kind="stable")]
     else:
         order = np.lexsort((g.edge_idx[:, 1], g.edge_idx[:, 0], -g.weights))
@@ -83,12 +83,14 @@ def top_m_edge_backbone(
     position; ties broken lexicographically or at random."""
     if m < 1 or m > g.m:
         raise ConvexaError(f"m = {m} out of range 1 .. {g.m}")
-    if np.shape(scores) != (g.m,):
+    try:
+        vals = np.asarray(scores, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        vals = None
+    if vals is None or vals.shape != (g.m,):
         raise InputError(f"scores must hold one value per edge, {g.m} in all")
-    vals = np.asarray(scores, dtype=float)
     if tie_break is TieBreak.RANDOM:
-        rng = np.random.default_rng(seed)
-        jitter = rng.permutation(g.m)
+        jitter = Stream(seed).permutation(g.m)
         order = np.lexsort((jitter, -vals))
     else:
         order = np.lexsort((g.edge_idx[:, 1], g.edge_idx[:, 0], -vals))

@@ -469,7 +469,7 @@ def cmd_distributions(args):
     head = ["bin_low", "bin_high"] if numeric else ["category"]
     rows = [[*head, "skeleton_weight", "remainder_weight"]]
     for label, sw, rw in zip(rep.bins, rep.skeleton_weight, rep.remainder_weight):
-        cells = [fmt(label[0]), fmt(label[1])] if numeric else [label]
+        cells = [fmt(label[0]), fmt(label[1])] if numeric else [fmt(label)]
         rows.append([*cells, fmt(sw), fmt(rw)])
     if rep.missing_skeleton or rep.missing_remainder:
         label = ["MISSING", ""] if numeric else ["MISSING"]

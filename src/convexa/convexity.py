@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
 from .graph import Graph, is_clique, is_connected
 
@@ -179,8 +180,9 @@ def convexity(g: Graph, runs: int = 100, *, seed: int) -> ConvexityScore:
         # vertices, so every connected set is convex: each step adds one node
         totals = runs * np.arange(1, n + 1, dtype=np.int64)
     else:
-        # sum over runs of |S| after step t; run r draws from default_rng([seed, r])
-        rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
+        # sum over runs of |S| after step t; run r draws from Stream([seed, r]),
+        # convexa's PCG64 stream, which gives default_rng([seed, r])'s draws
+        rngs = [Stream([seed, r]) for r in range(runs)]
         totals = _expansion_totals(g, rngs)
     excess = 0  # integer numerator of sum of max(s(t)-s(t-1)-1/n, 0)
     for t in range(1, n):

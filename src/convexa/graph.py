@@ -327,7 +327,7 @@ def write_edge_tsv(g, fh, flags=None, flag_name="in_backbone"):
     holds a tab or a line break, or that starts with `#` (a comment line to
     `read_edge_tsv`): the file could not be read back.
     """
-    for i in np.unique(g.edge_idx):
+    for i in np.flatnonzero(g.degrees):  # the endpoints of the edges
         if any(c in g.ids[i] for c in "\t\n\r"):
             raise InputError(f"node id {g.ids[i]!r} holds a tab or a line break")
         if g.ids[i].lstrip().startswith("#"):

@@ -167,6 +167,13 @@ def average_ranks(a: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _distinct(a: np.ndarray) -> int:
+    """Number of distinct values in `a`, counted on a sorted copy (a bare
+    `np.unique` would import numpy.ma for its masked-array check)."""
+    s = np.sort(a)
+    return int(np.count_nonzero(s[1:] != s[:-1])) + (s.size > 0)
+
+
 def spearman_rho(x: dict, y: dict) -> float:
     """Pearson correlation of average ranks (mean ranks for ties).
 
@@ -174,7 +181,7 @@ def spearman_rho(x: dict, y: dict) -> float:
     integer arithmetic, so perfect agreement/reversal score exactly +/-1.
     """
     a, b = _paired_arrays(x, y)
-    distinct = np.unique(a).size == a.size and np.unique(b).size == b.size
+    distinct = _distinct(a) == a.size and _distinct(b) == b.size
     return _rho(average_ranks(a), average_ranks(b), distinct)
 
 
@@ -256,7 +263,7 @@ def correlation_matrix(
 
     def ranked(vecs, m):
         a = np.array([vecs[m][k] for k in keys], float)
-        return a, average_ranks(a), np.unique(a).size
+        return a, average_ranks(a), _distinct(a)
 
     cols = [ranked(col_vecs, cm) for cm in MEASURES]
     grid = []

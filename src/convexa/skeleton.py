@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
 from .graph import Graph, biconnected_edge_blocks, is_clique, is_connected
 
@@ -223,7 +224,7 @@ def extract_convex_skeleton(
 ) -> SkeletonResult:
     if not is_connected(g):
         raise DisconnectedError("skeleton extraction requires a connected graph")
-    rng = np.random.default_rng(seed) if tie_break is TieBreak.RANDOM else None
+    rng = Stream(seed) if tie_break is TieBreak.RANDOM else None
     live = _LiveGraph(g, objective)
     removed = []
     while live.nonclique:

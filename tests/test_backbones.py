@@ -166,3 +166,10 @@ def test_top_m_rejects_scores_of_the_wrong_shape():
     ):
         with pytest.raises(InputError, match="one value per edge"):
             top_m_edge_backbone(path, scores, 2)
+
+
+def test_top_m_rejects_ragged_or_non_numeric_scores():
+    path = build_graph([("a", "b"), ("b", "c")])
+    for scores in ([[1.0], [2.0, 3.0]], ["x", "y"]):
+        with pytest.raises(InputError, match="one value per edge"):
+            top_m_edge_backbone(path, scores, 1)

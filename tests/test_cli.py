@@ -247,6 +247,37 @@ def test_compare_builds_distances_once_per_monte_carlo_graph(workdir, monkeypatc
     assert bfs_all.call_count == mc.call_count
 
 
+#: runs cli.main, then prints its exit code and which of numpy's random and
+#: masked-array submodules the run imported
+_IMPORT_PROBE = """
+import sys
+from convexa import cli
+code = cli.main(sys.argv[1:])
+print(code, *[m for m in ("numpy.random", "numpy.ma") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["convexity", "--runs", "5", "--output", "OUT.csv"],
+    ["compare", "--runs", "5", "--output-dir", "OUT"],
+    ["skeleton", "--runs", "5", "--tie-break", "random", "--output", "OUT.tsv"],
+    ["backbone", "--kind", "mst", "--tie-break", "random", "--output", "OUT.tsv"],
+], ids=lambda argv: argv[0])
+def test_random_runs_import_neither_numpy_random_nor_numpy_ma(workdir, argv):
+    # draws come from convexa's own stream; only generate uses numpy.random.
+    # A 4-cycle is no tree of cliques, so its convexity runs the Monte Carlo,
+    # and its four equal edges tie
+    out = str(workdir / f"probe_{argv[0]}")
+    argv = [a.replace("OUT", out) for a in argv]
+    r = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, argv[0], "--input", str(workdir / "c4.tsv"),
+         "--seed", "3", *argv[1:]],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0"
+
+
 def test_skeleton_failed_write_leaves_no_file(workdir):
     # the removal log and the primary output are written all or nothing
     log = workdir / "sk_fail_log.csv"
@@ -480,6 +511,21 @@ def test_distributions_sidecar_bin_origin_only_with_numeric_bins(workdir, expr, 
             "--output", str(out))
     assert r.returncode == 0, r.stderr
     assert json.loads((workdir / (out.name + ".meta.json")).read_text())["config"]["bin_origin"] == origin
+
+
+def test_distributions_category_labels_are_formatted(workdir):
+    # categories go through fmt like every other number: 5 and 19.5, not 5.0
+    authors = workdir / "authors_half.csv"
+    authors.write_text("author_id,birth_year,gender\na,1960.5,F\nb,1980,F\nc,1975,M\nd,1990,M\n")
+    texts = []
+    for expr in ("ABS_DIFF(birth_year)", "SAME(gender)"):
+        out = workdir / f"dist_labels_{expr[:4]}.csv"
+        r = run("distributions", "--input", str(workdir / "tree.tsv"), "--authors", str(authors),
+                "--expr", expr, "--output", str(out))
+        assert r.returncode == 0, r.stderr
+        texts.append(out.read_text())
+    head = "category,skeleton_weight,remainder_weight\n"
+    assert texts == [head + "5,1,0\n10,1,0\n19.5,1,0\n", head + "False,2,0\nTrue,1,0\n"]
 
 
 def test_distributions_rejects_skeleton_listing_an_edge_twice(workdir):

@@ -176,63 +176,55 @@ def brandes(indptr, indices, edge_id, n, m):
 # ---------------------------------------------------------------------------
 # geodesic hull closure
 
-def hull_close(D, A, members, rows, nodes):
+#: element budget of one chunk of the closure's first-step test: each arc
+#: tested reads two distance rows and a member row, n elements each
+HULL_CHUNK_ELEMENTS = 2**16
+
+
+def hull_close(D, indptr, indices, members, rows, nodes):
     """Close each row of the (k, n) bool block `members` (modified in place)
-    under geodesic betweenness, after pushing node nodes[i] into row
-    rows[i].
+    under geodesic betweenness after marking node nodes[i] in row rows[i];
+    return a bool per row, True iff the row gained a node that was not
+    marked.
 
-    Every row must be closed before its pushed nodes were added; `D` is the
-    all-pairs distance matrix of a connected graph and `A` its dense 0/1
-    float32 adjacency.  Each round sweeps the BFS DAGs of all pushed pairs
-    together, ORs each pair's marks into its row, and pushes what a row
-    gained; it stops when no row that is not yet full grows.  At most n // 4
-    pairs share a sweep (at least one), so its (pairs, n) temporaries stay
-    within about the size of `D` whatever the number of rows and pairs, and
-    wide BLAS products pay for themselves on large graphs.
-
-    w lies on a u-v geodesic for some member v iff w is an ancestor of a
-    member in u's BFS DAG, so a sweep runs each pair's layers from its
-    deepest member up to layer 1 (layer 0 is u itself, a member), marking
-    the parents of marked nodes.  Members are marked from the start, so only
-    the columns C that are not yet in every row of the sweep can gain a
-    mark, and a layer deeper than max D[u, C] + 1 marks none of them: the
-    sweep skips a chunk with no such column and starts at the shallower of
-    the two layers.  Sets are nearly full when they are swept, so C is often
-    a few percent of n; while |C| <= n / 2 each layer multiplies by A[:, C]
-    alone, gathered once per sweep, and writes only the columns C.  The 0/1
-    float32 products are exact (sums of at most n < 2**24 ones).
+    Each row's members before the call must form a convex set (an empty
+    row does); `D` is the all-pairs distance matrix of a connected graph
+    and (indptr, indices) its CSR.  A neighbour y of u with D[y, v] <
+    D[u, v] is the first step of a u-v geodesic, and a set is convex iff,
+    for every pair of members, it holds the first steps from one of them
+    toward the other: the rest of such a geodesic joins two members one
+    step closer, so induct on the distance (the geodesic-interval argument,
+    Pelayo, Geodesic Convexity in Graphs, 2013).  So each round takes every
+    arc (u, y) from a node u added in the previous round (the marked nodes
+    first) to a y outside u's row, and y joins the row iff D[y, v] < D[u, v]
+    for some member v; the rounds stop when one adds nothing.  A pair's
+    first steps from its later-added endpoint are tested in the round after
+    that endpoint joined, when the other is a member, so the fixed point is
+    the hull.  The n-wide tests run at most HULL_CHUNK_ELEMENTS // n arcs at
+    a time, and the (row, node) pairs a round adds are deduplicated by
+    sorting their keys row * n + node.
     """
     n = D.shape[0]
     rows = np.asarray(rows, np.intp)
     nodes = np.asarray(nodes, np.intp)
     members[rows, nodes] = True
-    step = max(1, n // 4)
-    order = np.argsort(rows, kind="stable")
-    rows, nodes = rows[order], nodes[order]
+    grown = np.zeros(members.shape[0], dtype=bool)
+    step = max(1, HULL_CHUNK_ELEMENTS // n)
     while rows.size:
-        grown = rows[np.r_[True, rows[1:] != rows[:-1]]]  # rows are sorted
-        before = members[grown]
-        for s in range(0, rows.size, step):
-            r = rows[s:s + step]
-            on = members[r]
-            cols = np.flatnonzero(~on.all(axis=0))
-            if not cols.size:
-                continue
-            Dn = D[nodes[s:s + step]]
-            Dc = Dn[:, cols]
-            top = min(int(np.where(on, Dn, 0).max()), int(Dc.max()) + 1)
-            if 2 * cols.size > n:
-                cols, Dc = slice(None), Dn  # a wide sweep reads A with no gather
-            Ac = A[:, cols]
-            for d in range(top, 1, -1):
-                parents = (on & (Dn == d)).astype(np.float32) @ Ac > 0
-                on[:, cols] |= parents & (Dc == d - 1)
-            # pairs are sorted by row: OR each row's pairs together
-            ur, at = np.unique(r, return_index=True)
-            members[ur] |= np.logical_or.reduceat(on, at, axis=0)
-        after = members[grown]
-        gained = after & ~before
-        gained[after.all(axis=1)] = False
-        i, nodes = np.nonzero(gained)  # sorted by row again
-        rows = grown[i]
-    return members
+        pos, owner = _arcs(indptr, nodes)
+        y = indices[pos]
+        r = rows[owner]
+        out = ~members[r, y]
+        u, r, y = nodes[owner[out]], r[out], y[out]
+        hit = np.zeros(y.size, dtype=bool)
+        for s in range(0, y.size, step):
+            c = slice(s, s + step)
+            hit[c] = ((D[y[c]] < D[u[c]]) & members[r[c]]).any(axis=1)
+        keys = r[hit] * n + y[hit]
+        keys.sort()
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        rows, nodes = np.divmod(keys[first], n)
+        members[rows, nodes] = True
+        grown[rows] = True
+    return grown

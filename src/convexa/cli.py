@@ -179,8 +179,17 @@ def _stat_rows(records):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _read_graph(path):
+    """`read_edge_tsv(path)`, with a warning on stderr for the self-loop
+    records it dropped."""
+    g = read_edge_tsv(path)
+    if g.self_loops_dropped:
+        print(f"warning: dropped {g.self_loops_dropped} self-loop record(s)", file=sys.stderr)
+    return g
+
+
 def cmd_convexity(args):
-    g = read_edge_tsv(args.input)
+    g = _read_graph(args.input)
     seed = _resolve_seed(args)
     score = convexity(g, runs=args.runs, seed=seed)
     rows = [["t", "s_t"]]
@@ -227,7 +236,7 @@ def _skeleton_of(g, args, seed):
 
 
 def cmd_skeleton(args):
-    g = read_edge_tsv(args.input)
+    g = _read_graph(args.input)
     seed = _resolve_seed(args)
     _skeleton_flags(args, objective=True, tie_break=True)
     sk = _skeleton_of(g, args, seed)
@@ -288,7 +297,7 @@ def _make_backbone(g, kind, args, seed, sk=None):
 
 
 def cmd_backbone(args):
-    g = read_edge_tsv(args.input)
+    g = _read_graph(args.input)
     kind = BackboneKind(args.kind)
     mst = kind is BackboneKind.MAX_SPANNING_TREE
     if args.m is not None and (mst or kind is BackboneKind.CONVEX_SKELETON):
@@ -320,7 +329,7 @@ def cmd_backbone(args):
 
 
 def cmd_compare(args):
-    g = read_edge_tsv(args.input)
+    g = _read_graph(args.input)
     seed = _resolve_seed(args)
     kinds = [k.strip() for k in args.backbones.split(",") if k.strip()]
     for k in kinds:
@@ -368,7 +377,7 @@ def cmd_compare(args):
 
 
 def cmd_centrality(args):
-    g = read_edge_tsv(args.input)
+    g = _read_graph(args.input)
     measures = list(Measure) if args.measure == "all" else [Measure(args.measure)]
     vecs = {m: compute(g, m) for m in measures}
     rows = [["node"] + [m.value for m in measures]]
@@ -385,7 +394,7 @@ def cmd_centrality(args):
 
 
 def cmd_rank(args):
-    g = read_edge_tsv(args.input)
+    g = _read_graph(args.input)
     vec = compute(g, Measure(args.measure))
     ranked = top_k(vec, args.top)
     rows = [["rank", "node", "value"]]
@@ -446,7 +455,7 @@ def _skeleton_from_tsv(g, path):
 
 
 def cmd_distributions(args):
-    g = read_edge_tsv(args.input)
+    g = _read_graph(args.input)
     # a skeleton read from a file draws no random numbers
     seed = _resolve_seed(args, used=not args.skeleton)
     expr = parse_expr(args.expr)
@@ -525,7 +534,7 @@ def cmd_generate(args):
 
 
 def cmd_stats(args):
-    g = read_edge_tsv(args.input)
+    g = _read_graph(args.input)
     seed = _resolve_seed(args)
     s = descriptive_stats(g, convexity_runs=args.runs, seed=seed)
     rows = [["statistic", "value"], *_stat_rows([s])]

@@ -5,11 +5,11 @@ random node set is grown one cut-edge at a time and re-closed after each
 step.  Fully convex graphs (trees of cliques) score exactly 1; random
 graphs score near 0.
 
-All runs of a score advance in lockstep, as rows of one member block.  A
-step first tests in O(deg) distance rows whether the pushed node alone
-keeps its set convex, which it does for most steps; only the rows that fail
-go to the one hull-closure kernel, `_kernels.hull_close`, which also serves
-`convex_hull`.
+All runs of a score advance in lockstep, as rows of one member block, and
+each step closes every row with the one hull-closure kernel,
+`_kernels.hull_close`, which also serves `convex_hull`.  Its first round
+tests in O(deg) distance rows whether the pushed node alone keeps its set
+convex, which it does for most steps.
 """
 
 from dataclasses import dataclass
@@ -50,7 +50,8 @@ def convex_hull(g: Graph, node_set) -> frozenset:
         raise InputError("convex hull of an empty node set is undefined")
     seeds = np.flatnonzero(_member_mask(g, node_set))
     members = np.zeros((1, g.n), dtype=bool)
-    _kernels.hull_close(g.dist_matrix, g.adjacency, members, np.zeros_like(seeds), seeds)
+    indptr, indices, _ = g.csr
+    _kernels.hull_close(g.dist_matrix, indptr, indices, members, np.zeros_like(seeds), seeds)
     return frozenset(g.ids[i] for i in np.flatnonzero(members[0]))
 
 
@@ -60,36 +61,9 @@ def is_convex(g: Graph, node_set) -> bool:
 
 
 #: element budget of one block of runs: k runs advancing together hold about
-#: k * (n + m) elements (member rows, cut masks, the pushed nodes' own
-#: distance rows); the push test reads the distance rows of the pushed nodes'
-#: neighbours at most RUN_BLOCK_ELEMENTS // n at a time, since many rows may
-#: push the same hub
+#: k * (n + m) elements (member rows, cut masks, and a closure round's arcs,
+#: at most 2m per row)
 RUN_BLOCK_ELEMENTS = 2**20
-
-
-def _push_grows(D, indptr, indices, members, u):
-    """For each row r of the (k, n) block of convex sets `members` and a
-    node u[r] outside it but adjacent to it: True iff the hull of the set
-    plus u[r] holds more than u[r].
-
-    S + u is convex iff no neighbour w of u outside S is one step closer
-    than u to some member v: a u-v geodesic whose first step enters S stays
-    in S, because S is convex (the geodesic-interval argument, Pelayo,
-    Geodesic Convexity in Graphs, 2013).  The test compares deg(u) rows of
-    D with u's own row, with no closure.
-    """
-    pos, owner = _kernels._arcs(indptr, u)
-    w = indices[pos]
-    out = ~members[owner, w]
-    w, owner = w[out], owner[out]
-    closer = np.where(members, D[u] - 1, -2)
-    grows = np.zeros(u.size, dtype=bool)
-    step = max(1, RUN_BLOCK_ELEMENTS // D.shape[0])
-    for s in range(0, w.size, step):
-        o = owner[s:s + step]
-        hit = (D[w[s:s + step]] == closer[o]).any(axis=1)
-        grows[o[hit]] = True
-    return grows
 
 
 def _expansion_block(g, rngs):
@@ -98,7 +72,7 @@ def _expansion_block(g, rngs):
     block and a (k, m) cut-edge mask; a run whose set is full leaves the
     block and counts n from then on."""
     n = g.n
-    D, A = g.dist_matrix, g.adjacency
+    D = g.dist_matrix
     indptr, indices, edge_id = g.csr
     eu, ev = g.edge_idx[:, 0], g.edge_idx[:, 1]
     k = len(rngs)
@@ -122,19 +96,16 @@ def _expansion_block(g, rngs):
         j = [rng.integers(c) for rng, c in zip(rngs, counts)]
         e = flat[bounds[:-1] + j] - rows * g.m
         u = np.where(members[rows, eu[e]], ev[e], eu[e])
-        grows = _push_grows(D, indptr, indices, members, u)
+        grown = _kernels.hull_close(D, indptr, indices, members, rows, u)
         # a step that adds u alone flips the cut state of u's edges
-        alone = np.flatnonzero(~grows)
-        members[alone, u[alone]] = True
+        alone = np.flatnonzero(~grown)
         pos, owner = _kernels._arcs(indptr, u[alone])
         cut[alone[owner], edge_id[pos]] ^= True
         size[alone] += 1
-        if grows.any():
-            r = rows[grows]
-            _kernels.hull_close(D, A, members, r, u[r])
-            sub = members[r]
-            cut[r] = sub[:, eu] ^ sub[:, ev]
-            size[r] = sub.sum(axis=1)
+        if grown.any():
+            sub = members[grown]
+            cut[grown] = sub[:, eu] ^ sub[:, ev]
+            size[grown] = sub.sum(axis=1)
         totals[t] = size.sum() + left * n
         full = size == n
         if full.any():

@@ -8,7 +8,6 @@ weights and self-loops are dropped (counted).
 """
 
 import io
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,8 +16,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-
-log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Graph:
@@ -73,10 +70,17 @@ class Graph:
 
     @cached_property
     def dist_matrix(self):
-        """All-pairs hop distances, int32, -1 for unreachable: O(n^2) memory.
-        Only the convexity Monte Carlo and `convex_hull` read it; closeness
-        and mean distance read `brandes` instead."""
-        return _kernels.bfs_all(self.adjacency)
+        """All-pairs hop distances, -1 for unreachable: O(n^2) memory, in the
+        narrowest of int8, int16 and int32 that holds twice the largest
+        distance, so a sum of two distances never overflows.  Only the
+        convexity Monte Carlo and `convex_hull` read it; closeness and mean
+        distance read `brandes` instead."""
+        D = _kernels.bfs_all(self.adjacency)
+        top = 2 * int(D.max(initial=0))
+        for dtype in (np.int8, np.int16):
+            if top <= np.iinfo(dtype).max:
+                return D.astype(dtype)
+        return D
 
     @cached_property
     def brandes(self):
@@ -93,10 +97,11 @@ class Graph:
         cn.flags.writeable = False
         return cn
 
-    @cached_property
+    @property
     def adjacency(self):
-        """Dense 0/1 adjacency, float32: O(n^2) memory.  The BLAS operand of
-        `dist_matrix` and of the hull-closure sweep, its only users."""
+        """Dense 0/1 adjacency, float32: O(n^2) memory, built on each access.
+        The BLAS operand of `_kernels.bfs_all`, which `dist_matrix` runs
+        once; nothing else reads it."""
         A = np.zeros((self.n, self.n), np.float32)
         A[self.edge_idx[:, 0], self.edge_idx[:, 1]] = 1
         A[self.edge_idx[:, 1], self.edge_idx[:, 0]] = 1
@@ -147,8 +152,9 @@ def build_csr(n, edge_idx):
 def build_graph(edge_records, isolated_nodes=()):
     """Build a graph from (u, v) or (u, v, weight) records.
 
-    Self-loops are dropped (with a warning), duplicate pairs merge by
-    summing weights, and nonpositive weights are rejected.
+    Self-loops are dropped and counted in `Graph.self_loops_dropped`,
+    duplicate pairs merge by summing weights, and nonpositive weights are
+    rejected.
     """
     nodes = set(str(x) for x in isolated_nodes)
     merged = {}
@@ -170,8 +176,6 @@ def build_graph(edge_records, isolated_nodes=()):
             continue
         key = (u, v) if u < v else (v, u)
         merged[key] = merged.get(key, 0.0) + w
-    if loops:
-        log.warning("dropped %d self-loop record(s)", loops)
     ids = tuple(sorted(nodes))
     index = {v: i for i, v in enumerate(ids)}
     if merged:

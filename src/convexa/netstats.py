@@ -142,7 +142,8 @@ def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int) -> Stat
 
 def _paired_arrays(x: dict, y: dict):
     """x and y as float arrays in one sorted key order; refuses unequal key
-    sets, fewer than 2 keys and a constant vector."""
+    sets, fewer than 2 keys, a value that is not finite and a constant
+    vector."""
     if set(x) != set(y):
         raise InputError("value mappings must have identical key sets")
     if len(x) < 2:
@@ -150,6 +151,8 @@ def _paired_arrays(x: dict, y: dict):
     keys = sorted(x)
     a = np.array([x[k] for k in keys], float)
     b = np.array([y[k] for k in keys], float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("rank correlation of a value that is not finite")
     if np.ptp(a) == 0 or np.ptp(b) == 0:
         raise ConvexaError("rank correlation undefined: zero rank variance")
     return a, b

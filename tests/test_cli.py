@@ -278,6 +278,31 @@ def test_random_runs_import_neither_numpy_random_nor_numpy_ma(workdir, argv):
     assert r.stdout.splitlines()[-1] == "0"
 
 
+def test_cli_import_leaves_logging_out():
+    # the library is silent; the CLI prints its own warnings
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, convexa.cli; print('logging' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--runs", "5"],
+    ["convexity", "--runs", "5", "--seed", "1"],
+    ["centrality", "--measure", "degree"],
+])
+def test_self_loop_records_are_dropped_with_a_warning(workdir, argv):
+    tsv = workdir / "loops.tsv"
+    tsv.write_text("a\tb\nb\tb\nb\tc\nc\td\na\td\nd\td\n")
+    out = workdir / f"loops_{argv[0]}.csv"
+    r = run(argv[0], "--input", str(tsv), *argv[1:], "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == "warning: dropped 2 self-loop record(s)\n"
+    assert out.exists()
+
+
 def test_skeleton_failed_write_leaves_no_file(workdir):
     # the removal log and the primary output are written all or nothing
     log = workdir / "sk_fail_log.csv"

@@ -17,6 +17,7 @@ from convexa import (
     is_convex,
     is_tree_of_cliques,
 )
+from convexa import _kernels
 from convexa import graph as graph_module
 from convexa.synth import GeneratorSpec, Kind, generate
 from oracles import (
@@ -321,7 +322,9 @@ def test_lockstep_runs_match_loop_reference(g, runs, seed, per_block):
 @given(expansion_graphs(), st.data())
 def test_push_test_passes_iff_closure_adds_only_the_pushed_node(g, data):
     # rows: S = the hull of random seeds and u a node outside S with a
-    # neighbour in S (a draw whose hull is the whole graph adds no row)
+    # neighbour in S (a draw whose hull is the whole graph adds no row), as
+    # in a lockstep step; the closure's first round is the push test, and a
+    # row grows past S + u iff that test fails
     D = g.dist_matrix
     indptr, indices, _ = g.csr
     nodes = st.integers(0, g.n - 1)
@@ -340,17 +343,17 @@ def test_push_test_passes_iff_closure_adds_only_the_pushed_node(g, data):
         return
     block = np.array(rows)
     u = np.array(pushed, dtype=np.intp)
-    grows = convexity_module._push_grows(D, indptr, indices, block, u)
+    grown = _kernels.hull_close(D, indptr, indices, block, np.arange(u.size), u)
     for r, (members, x) in enumerate(zip(rows, pushed)):
         before = int(members.sum())
         closed = hull_close_loop(D, members.copy(), np.array([x], np.int32))
-        assert grows[r] == (int(closed.sum()) > before + 1)
-    assert np.array_equal(block, np.array(rows))  # the test modifies nothing
+        assert grown[r] == (int(closed.sum()) > before + 1)
+        assert np.array_equal(block[r], closed)
 
 
 def test_push_test_reads_a_hub_pushed_by_many_rows_in_chunks():
     # a star whose hub h is pushed by every row at once, plus z on the C4
-    # h-x-z-y; a budget of 3 distance rows per chunk splits the hub's arcs.
+    # h-x-z-y; a budget of 3 arcs per chunk splits the hub's arcs.
     # Every fifth row is {x, z}, whose push of h pulls in y; the others are
     # one leaf, whose push of h adds h alone
     n = 40
@@ -364,15 +367,17 @@ def test_push_test_reads_a_hub_pushed_by_many_rows_in_chunks():
     block[::5] = False
     block[::5, leaves[0]] = True
     block[::5, g.index["z"]] = True
+    before = block.copy()
     u = np.full(len(leaves), hub, dtype=np.intp)
-    with mock.patch.object(convexity_module, "RUN_BLOCK_ELEMENTS", 3 * g.n):
-        grows = convexity_module._push_grows(D, indptr, indices, block, u)
+    with mock.patch.object(_kernels, "HULL_CHUNK_ELEMENTS", 3 * g.n):
+        grown = _kernels.hull_close(D, indptr, indices, block, np.arange(u.size), u)
         rngs = [np.random.default_rng([5, r]) for r in range(30)]
         totals = convexity_module._expansion_totals(g, rngs)
-    for r, members in enumerate(block):
+    for r, members in enumerate(before):
         closed = hull_close_loop(D, members.copy(), np.array([hub], np.int32))
-        assert grows[r] == (int(closed.sum()) > 2)
-    assert np.array_equal(np.flatnonzero(grows), np.arange(0, n, 5))
+        assert grown[r] == (int(closed.sum()) > 2)
+        assert np.array_equal(block[r], closed)
+    assert np.array_equal(np.flatnonzero(grown), np.arange(0, n, 5))
     ref = sum(
         np.array(expansion_run_loop(g, np.random.default_rng([5, r])), dtype=np.int64)
         for r in range(30)

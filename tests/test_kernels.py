@@ -43,6 +43,47 @@ def test_bfs_all_backends_agree():
         assert np.array_equal(g.dist_matrix, a)
 
 
+def _path(n):
+    return cx.build_graph([(f"v{i - 1:03d}", f"v{i:03d}") for i in range(1, n)])
+
+
+def test_dist_matrix_is_the_narrowest_type_that_holds_twice_its_distances():
+    # a 10-node path's distances reach 9, a 200-node path's 199 (2 * 199 > 127)
+    split = cx.build_graph([("a", "b"), ("b", "c"), ("d", "e")], isolated_nodes=["f"])
+    cases = [(_path(10), np.int8), (_path(200), np.int16), (split, np.int8)]
+    cases += [(g, np.int8) for g, _ in _graphs()]
+    for g, dtype in cases:
+        D = g.dist_matrix
+        assert D.dtype == dtype
+        indptr, indices, _ = g.csr
+        assert np.array_equal(D, bfs_all_loop(indptr, indices, g.n))
+    assert split.dist_matrix[0, 3] == -1 and split.dist_matrix[5, 5] == 0
+
+
+def test_hull_close_on_int16_distances_matches_loop_per_row():
+    # two 70-node rails joined at every 7th column: distances above 63, so
+    # D is int16, and several geodesics between the rails; five rows, each
+    # the hull of two seeds, push two nodes each, tested 5 arcs per chunk
+    edges = [((0, j), (0, j + 1)) for j in range(69)] + [((1, j), (1, j + 1)) for j in range(69)]
+    g = cx.build_graph(edges + [((0, j), (1, j)) for j in range(0, 70, 7)])
+    D = g.dist_matrix
+    assert D.dtype == np.int16
+    indptr, indices, _ = g.csr
+    rng = np.random.default_rng(5)
+    members = np.zeros((5, g.n), dtype=bool)
+    for r in range(5):
+        hull_close_loop(D, members[r], rng.choice(g.n, 2, replace=False).astype(np.int32))
+    rows = np.repeat(np.arange(5), 2)
+    pushed = rng.choice(g.n, rows.size)
+    ref = members.copy()
+    for r in range(5):
+        hull_close_loop(D, ref[r], pushed[rows == r].astype(np.int32))
+    with mock.patch.object(_kernels, "HULL_CHUNK_ELEMENTS", 5 * g.n):
+        _kernels.hull_close(D, indptr, indices, members, rows, pushed)
+    assert np.array_equal(members, ref)
+    assert (ref.sum(axis=1) > 3).all()
+
+
 @st.composite
 def connected_graphs(draw):
     """Paths and random trees (deep BFS layers), dense ER graphs (explosive
@@ -70,7 +111,8 @@ def test_hull_close_matches_loop_and_oracle(g, data):
         np.int32,
     )
     members = np.zeros((1, g.n), dtype=bool)
-    _kernels.hull_close(g.dist_matrix, g.adjacency, members, np.zeros_like(seeds), seeds)
+    indptr, indices, _ = g.csr
+    _kernels.hull_close(g.dist_matrix, indptr, indices, members, np.zeros_like(seeds), seeds)
     got = members[0]
     ref = hull_close_loop(g.dist_matrix, np.zeros(g.n, dtype=bool), seeds)
     assert np.array_equal(got, ref)
@@ -84,9 +126,10 @@ def test_hull_close_matches_loop_and_oracle(g, data):
 def test_hull_close_rows_match_loop_per_row(g, data):
     # several rows, each a closed set (the hull of random seeds, or empty)
     # plus its own pushed batch, closed in one call; the pairs arrive in any
-    # row order, and at most n // 4 of them share a sweep, so on these small
-    # graphs a round takes one sweep or several
+    # row order, and a budget of 2 arcs per chunk makes a round test its
+    # arcs in one chunk or several
     D = g.dist_matrix
+    indptr, indices, _ = g.csr
     nodes = st.integers(0, g.n - 1)
     k = data.draw(st.integers(1, 5))
     members = np.zeros((k, g.n), dtype=bool)
@@ -97,24 +140,30 @@ def test_hull_close_rows_match_loop_per_row(g, data):
     pairs = data.draw(st.lists(st.tuples(st.integers(0, k - 1), nodes), min_size=1, unique=True))
     rows = np.array([r for r, _ in pairs])
     pushed = np.array([v for _, v in pairs])
+    before = members.copy()
     ref = members.copy()
     for r in range(k):
         batch = pushed[rows == r].astype(np.int32)
         if batch.size:
             hull_close_loop(D, ref[r], batch)
-    _kernels.hull_close(D, g.adjacency, members, rows, pushed)
+    with mock.patch.object(_kernels, "HULL_CHUNK_ELEMENTS", 2 * g.n):
+        grown = _kernels.hull_close(D, indptr, indices, members, rows, pushed)
     assert np.array_equal(members, ref)
+    # a row grew iff its closure holds more than its members and pushed nodes
+    marked = before.copy()
+    marked[rows, pushed] = True
+    assert np.array_equal(grown, (ref != marked).any(axis=1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs(), st.data())
 def test_hull_close_nearly_full_rows_match_loop_per_row(g, data):
-    # rows closed from more than n / 2 seeds are nearly full, so few columns
-    # can change and their chunks sweep only those columns; one row, at any
-    # position, is a single seed, and its pairs share a chunk with those of
-    # the nearly full row beside it, so that chunk sweeps the union of their
-    # complements from the capped start layer
+    # rows closed from more than n / 2 seeds are nearly full, so most arcs
+    # of their pushed nodes stay inside and are not tested; one row, at any
+    # position, is a single seed, whose pushed nodes' arcs mostly leave it,
+    # beside a nearly full row
     D = g.dist_matrix
+    indptr, indices, _ = g.csr
     nodes = st.integers(0, g.n - 1)
     k = data.draw(st.integers(2, 6))
     sparse = data.draw(st.integers(0, k - 1))
@@ -135,7 +184,7 @@ def test_hull_close_nearly_full_rows_match_loop_per_row(g, data):
         batch = pushed[rows == r].astype(np.int32)
         if batch.size:
             hull_close_loop(D, ref[r], batch)
-    _kernels.hull_close(D, g.adjacency, members, rows, pushed)
+    _kernels.hull_close(D, indptr, indices, members, rows, pushed)
     assert np.array_equal(members, ref)
 
 

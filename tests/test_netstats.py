@@ -188,6 +188,19 @@ def test_correlation_errors():
         spearman_rho({1: 1.0}, {1: 1.0})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rank_correlations_refuse_values_that_are_not_finite(bad):
+    # a NaN compared unequal to everything, so both used to return a number
+    # (0.4 and 0.333 for NaN)
+    x = {"a": 1.0, "b": bad, "c": 2.0, "d": 3.0}
+    y = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
+    for corr in (spearman_rho, kendall_tau):
+        with pytest.raises(InputError, match="not finite"):
+            corr(x, y)
+        with pytest.raises(InputError, match="not finite"):
+            corr(y, x)
+
+
 def test_correlation_symmetry_and_monotone_invariance():
     rng = np.random.default_rng(8)
     keys = [f"k{i}" for i in range(12)]

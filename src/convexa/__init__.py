@@ -2,16 +2,13 @@
 
 from ._kernels import BACKEND
 from .backbones import (
-    Backbone,
     BackboneKind,
-    backbone_graph,
     edge_betweenness,
     embeddedness_scores,
     maximum_spanning_tree,
     top_m_edge_backbone,
 )
 from .centrality import (
-    CentralityVector,
     Measure,
     betweenness,
     closeness,
@@ -42,15 +39,14 @@ from .errors import ConvergenceError, ConvexaError, DisconnectedError, InputErro
 from .graph import (
     Graph,
     build_graph,
-    is_connected,
     read_edge_flags,
     read_edge_tsv,
     write_edge_tsv,
 )
 from .netstats import (
-    CorrelationCell,
     StatsRecord,
     assortativity,
+    centrality_values,
     clustering_avg_local,
     clustering_global,
     correlation_matrix,
@@ -67,6 +63,6 @@ from .skeleton import (
     retained_weight_fraction,
     skeleton_graph,
 )
-from .synth import GeneratorSpec, Kind, connected_er, generate
+from .synth import Kind, connected_er, generate
 
 __version__ = "0.1.0"

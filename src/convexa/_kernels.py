@@ -26,12 +26,15 @@ def _arcs(indptr, nodes):
 # ---------------------------------------------------------------------------
 # BFS and common neighbours
 
-def bfs_all(A):
-    """All-pairs hop distances, int32, -1 for unreachable, from the dense 0/1
-    float32 adjacency `A`.  All sources advance together, one layer per
-    matrix product; float32 products run on BLAS (bool matmul does not) and
-    stay exact: sums of at most n < 2**24 ones."""
-    n = A.shape[0]
+def bfs_all(indptr, indices):
+    """All-pairs hop distances, int32, -1 for unreachable, from the CSR
+    adjacency.  All sources advance together, one layer per product with
+    the dense 0/1 float32 adjacency, a temporary of O(n^2) memory built
+    here; float32 products run on BLAS (bool matmul does not) and stay
+    exact: sums of at most n < 2**24 ones."""
+    n = indptr.size - 1
+    A = np.zeros((n, n), np.float32)
+    A[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
     D = np.full((n, n), -1, np.int32)
     frontier = np.eye(n, dtype=bool)
     visited = frontier.copy()

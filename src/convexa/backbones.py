@@ -1,17 +1,18 @@
 """Rival backbones: maximum spanning tree, top-m betweenness / embeddedness.
 
-Backbones are edge subsets over the original node universe; the top-m
-variants may be disconnected (their %LCC is part of the reported stats).
+A backbone is the frozenset of its edge positions in the source graph, over
+the source graph's node universe (`g.subgraph_with_edges(edges)` is its
+graph); the top-m variants may be disconnected (their %LCC is part of the
+reported stats).
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, find, is_connected
+from .graph import Graph, find
 from .skeleton import TieBreak
 
 
@@ -22,17 +23,11 @@ class BackboneKind(Enum):
     CONVEX_SKELETON = "skeleton"
 
 
-@dataclass(frozen=True)
-class Backbone:
-    kind: BackboneKind
-    edges: frozenset  # edge positions in the source graph
-
-
 def maximum_spanning_tree(
     g: Graph, tie_break: TieBreak = TieBreak.LEX_SMALLEST, seed: int = 0
-) -> Backbone:
+) -> frozenset:
     """Kruskal over edges sorted by descending weight, cycle-skipping."""
-    if not is_connected(g):
+    if not g.connected:
         raise DisconnectedError("spanning tree requires a connected graph")
     if tie_break is TieBreak.RANDOM:
         # random order within equal-weight groups
@@ -51,7 +46,7 @@ def maximum_spanning_tree(
             chosen.append(e)
             if len(chosen) == g.n - 1:
                 break
-    return Backbone(BackboneKind.MAX_SPANNING_TREE, frozenset(chosen))
+    return frozenset(chosen)
 
 
 def edge_betweenness(g: Graph) -> np.ndarray:
@@ -75,10 +70,9 @@ def top_m_edge_backbone(
     g: Graph,
     scores: np.ndarray,
     m: int,
-    kind: BackboneKind = BackboneKind.HIGH_BETWEENNESS,
     tie_break: TieBreak = TieBreak.LEX_SMALLEST,
     seed: int = 0,
-) -> Backbone:
+) -> frozenset:
     """The m highest-scoring edges, `scores` holding one value per edge
     position; ties broken lexicographically or at random."""
     if m < 1 or m > g.m:
@@ -94,8 +88,4 @@ def top_m_edge_backbone(
         order = np.lexsort((jitter, -vals))
     else:
         order = np.lexsort((g.edge_idx[:, 1], g.edge_idx[:, 0], -vals))
-    return Backbone(kind, frozenset(int(e) for e in order[:m]))
-
-
-def backbone_graph(g: Graph, b: Backbone) -> Graph:
-    return g.subgraph_with_edges(b.edges)
+    return frozenset(order[:m].tolist())

@@ -4,9 +4,9 @@ All measures are unweighted and work per component, so they stay defined
 on disconnected backbones.  PageRank follows the bidirected-edge
 construction with uniform teleport; closeness uses the reachable-set
 corrected form, which reduces to classical closeness on connected graphs.
+Each measure is a {node id: float} dict.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -29,21 +29,16 @@ class Measure(Enum):
     CLOSENESS = "closeness"
 
 
-@dataclass(frozen=True)
-class CentralityVector:
-    values: dict  # node id -> value
-
-
-def degree_centrality(g: Graph) -> CentralityVector:
+def degree_centrality(g: Graph) -> dict:
     deg = g.degrees
-    return CentralityVector({g.ids[i]: float(deg[i]) for i in range(g.n)})
+    return {g.ids[i]: float(deg[i]) for i in range(g.n)}
 
 
-def pagerank(g: Graph) -> CentralityVector:
+def pagerank(g: Graph) -> dict:
     """Power iteration on the bidirected graph, dangling mass spread uniformly."""
     n = g.n
     if n == 0:
-        return CentralityVector({})
+        return {}
     deg = g.degrees.astype(np.float64)
     dangling = deg == 0
     # A @ x as a sum over each node's neighbours in CSR order
@@ -58,17 +53,17 @@ def pagerank(g: Graph) -> CentralityVector:
         residual = float(np.abs(new - p).sum())
         p = new
         if residual < TOL:
-            return CentralityVector({g.ids[i]: float(p[i]) for i in range(n)})
+            return {g.ids[i]: float(p[i]) for i in range(n)}
     raise ConvergenceError(f"PageRank did not converge in {MAX_ITER} steps (residual {residual:g})")
 
 
-def betweenness(g: Graph) -> CentralityVector:
+def betweenness(g: Graph) -> dict:
     """Exact Brandes betweenness, unnormalized, unordered pairs, per component."""
     vals = g.brandes.node
-    return CentralityVector({g.ids[i]: float(vals[i]) for i in range(g.n)})
+    return {g.ids[i]: float(vals[i]) for i in range(g.n)}
 
 
-def closeness(g: Graph) -> CentralityVector:
+def closeness(g: Graph) -> dict:
     """Reachable-set corrected closeness: ((r-1)/(n-1)) * ((r-1)/sum of
     distances), with r the nodes reached, the node itself included.  The
     reach counts and exact distance sums come from the cached Brandes pass
@@ -78,14 +73,14 @@ def closeness(g: Graph) -> CentralityVector:
     r, total = g.brandes.reach, g.brandes.dist_sum
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(r > 1, ((r - 1) / (n - 1)) * ((r - 1) / total), 0.0)
-    return CentralityVector(dict(zip(g.ids, vals.tolist())))
+    return dict(zip(g.ids, vals.tolist()))
 
 
-def top_k(vec: CentralityVector, k: int):
+def top_k(values: dict, k: int):
     """k highest-valued (node, value) pairs, ties by smallest identifier."""
     if k < 1:
         raise ConvexaError(f"top-k needs a positive k, got {k}")
-    ranked = sorted(vec.values.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:k]
 
 
@@ -97,5 +92,5 @@ _MEASURE_FN = {
 }
 
 
-def compute(g: Graph, measure: Measure) -> CentralityVector:
+def compute(g: Graph, measure: Measure) -> dict:
     return _MEASURE_FN[measure](g)

@@ -20,8 +20,6 @@ from dataclasses import asdict, fields
 from . import __version__
 from .backbones import (
     BackboneKind,
-    Backbone,
-    backbone_graph,
     edge_betweenness,
     embeddedness_scores,
     maximum_spanning_tree,
@@ -55,7 +53,7 @@ from .skeleton import (
     retained_weight_fraction,
     skeleton_graph,
 )
-from .synth import RANDOM_KINDS, GeneratorSpec, Kind, generate
+from .synth import RANDOM_KINDS, Kind, generate
 
 DEFAULT_SEED = 42
 
@@ -152,22 +150,25 @@ def emit(args, config, csv_text, to_json, extra=None):
 
 
 def _resolve_seed(args, used=True):
-    """--seed, else $CONVEXA_SEED, else DEFAULT_SEED.  A run that draws no
-    random numbers (`used` false) gets None, its sidecar records a null
-    seed, and an explicit --seed is refused."""
+    """--seed, else $CONVEXA_SEED, else DEFAULT_SEED; a negative seed is
+    refused.  A run that draws no random numbers (`used` false) gets None,
+    its sidecar records a null seed, and an explicit --seed is refused."""
     if not used:
         if args.seed is not None:
             raise InputError("--seed would be ignored: this run draws no random numbers")
         return None
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CONVEXA_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"CONVEXA_SEED must be an integer, got {env!r}")
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, env = "CONVEXA_SEED", os.environ.get("CONVEXA_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        try:
+            seed = int(env)
+        except ValueError:
+            raise InputError(f"CONVEXA_SEED must be an integer, got {env!r}")
+    if seed < 0:
+        raise InputError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _stat_rows(records):
@@ -278,22 +279,22 @@ def cmd_skeleton(args):
 
 
 def _make_backbone(g, kind, args, seed, sk=None):
-    """The `kind` backbone of g.  The top-m kinds keep --m edges, by default
-    as many as the convex skeleton `sk`, which is extracted here when it is
-    needed and not given."""
+    """The edge positions of g's `kind` backbone.  The top-m kinds keep --m
+    edges, by default as many as the convex skeleton `sk`, which is
+    extracted here when it is needed and not given."""
     tie_break = TieBreak(args.tie_break)
     if kind is BackboneKind.MAX_SPANNING_TREE:
         return maximum_spanning_tree(g, tie_break=tie_break, seed=seed)
     if sk is None and (kind is BackboneKind.CONVEX_SKELETON or args.m is None):
         sk = _skeleton_of(g, args, seed)
     if kind is BackboneKind.CONVEX_SKELETON:
-        return Backbone(kind, sk.kept)
+        return sk.kept
     m = len(sk.kept) if args.m is None else args.m
     if kind is BackboneKind.HIGH_BETWEENNESS:
         scores = edge_betweenness(g)
     else:
         scores = embeddedness_scores(g)
-    return top_m_edge_backbone(g, scores, m, kind=kind, tie_break=tie_break, seed=seed)
+    return top_m_edge_backbone(g, scores, m, tie_break=tie_break, seed=seed)
 
 
 def cmd_backbone(args):
@@ -306,14 +307,14 @@ def cmd_backbone(args):
     _skeleton_flags(args, objective=not mst and args.m is None, tie_break=True)
     # the lex spanning tree draws no random numbers
     seed = _resolve_seed(args, used=not mst or args.tie_break == TieBreak.RANDOM.value)
-    b = _make_backbone(g, kind, args, seed)
+    edges = _make_backbone(g, kind, args, seed)
     buf = io.StringIO()
     flag = "in_skeleton" if kind is BackboneKind.CONVEX_SKELETON else "in_backbone"
-    write_edge_tsv(g, buf, flags=b.edges, flag_name=flag)
+    write_edge_tsv(g, buf, flags=edges, flag_name=flag)
     config = {
         "input": args.input,
         "kind": args.kind,
-        "m": len(b.edges),
+        "m": len(edges),
         "objective": args.objective,
         "seed": seed,
         "tie_break": args.tie_break,
@@ -322,9 +323,9 @@ def cmd_backbone(args):
         args,
         config,
         buf.getvalue(),
-        lambda: {"kind": args.kind, "edges": [list(g.edge_ids(e)) for e in sorted(b.edges)]},
+        lambda: {"kind": args.kind, "edges": [list(g.edge_ids(e)) for e in sorted(edges)]},
     )
-    print(f"backbone {args.kind}: {len(b.edges)} edges")
+    print(f"backbone {args.kind}: {len(edges)} edges")
     return 0
 
 
@@ -341,25 +342,21 @@ def cmd_compare(args):
     _skeleton_flags(args, objective=extracts, tie_break=bool(kinds))
     sk = _skeleton_of(g, args, seed) if extracts else None
     columns = {"network": descriptive_stats(g, convexity_runs=args.runs, seed=seed)}
-    backbones = {}  # name -> (backbone, its graph), one graph object each
+    backbones = {}  # name -> its graph, one object for its stats and centralities
     for name in kinds:
-        b = _make_backbone(g, BackboneKind(name), args, seed, sk)
-        sub = backbone_graph(g, b)
-        backbones[name] = b, sub
+        sub = g.subgraph_with_edges(_make_backbone(g, BackboneKind(name), args, seed, sk))
+        backbones[name] = sub
         columns[name] = descriptive_stats(sub, convexity_runs=args.runs, seed=seed)
     rows = [["statistic", *columns], *_stat_rows(columns.values())]
     # every file's text is ready before the first write: all or nothing
     texts = {"stats.csv": csv_text(rows)}
     full = centrality_values(g) if backbones else None
-    for name, (b, sub) in backbones.items():
-        grid = correlation_matrix(g, b, full, sub)
+    for name, sub in backbones.items():
+        grid = correlation_matrix(full, centrality_values(sub))
         rows = [["row_measure", "col_measure", "rho", "tau"]]
-        for row in grid:
-            for cell in row:
-                rows.append(
-                    [cell.row_measure.value, cell.col_measure.value,
-                     fmt(cell.rho), fmt(cell.tau)]
-                )
+        for rm, row in zip(Measure, grid):
+            for cm, (rho, tau) in zip(Measure, row):
+                rows.append([rm.value, cm.value, fmt(rho), fmt(tau)])
         texts[f"corr_{name}.csv"] = csv_text(rows)
     config = {
         "input": args.input,
@@ -382,21 +379,20 @@ def cmd_centrality(args):
     vecs = {m: compute(g, m) for m in measures}
     rows = [["node"] + [m.value for m in measures]]
     for node in g.ids:
-        rows.append([node] + [fmt(vecs[m].values[node]) for m in measures])
+        rows.append([node] + [fmt(vecs[m][node]) for m in measures])
     config = {"input": args.input, "measure": args.measure}
     emit(
         args,
         config,
         csv_text(rows),
-        lambda: {m.value: vecs[m].values for m in measures},
+        lambda: {m.value: vecs[m] for m in measures},
     )
     return 0
 
 
 def cmd_rank(args):
     g = _read_graph(args.input)
-    vec = compute(g, Measure(args.measure))
-    ranked = top_k(vec, args.top)
+    ranked = top_k(compute(g, Measure(args.measure)), args.top)
     rows = [["rank", "node", "value"]]
     for i, (node, value) in enumerate(ranked, 1):
         rows.append([i, node, fmt(value)])
@@ -519,7 +515,7 @@ def cmd_generate(args):
             params[key] = val
     if args.p is not None:
         params["p"] = args.p
-    g = generate(GeneratorSpec(kind, params, seed=0 if seed is None else seed))
+    g = generate(kind, params, 0 if seed is None else seed)
     buf = io.StringIO()
     write_edge_tsv(g, buf)
     config = {"kind": args.kind, "params": params, "seed": seed}

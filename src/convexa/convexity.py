@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, is_clique, is_connected
+from .graph import Graph, is_clique
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class ConvexityScore:
 
 
 def _require_connected(g):
-    if not is_connected(g):
+    if not g.connected:
         raise DisconnectedError("operation requires a connected graph")
 
 

@@ -75,7 +75,8 @@ class Graph:
         distance, so a sum of two distances never overflows.  Only the
         convexity Monte Carlo and `convex_hull` read it; closeness and mean
         distance read `brandes` instead."""
-        D = _kernels.bfs_all(self.adjacency)
+        indptr, indices, _ = self.csr
+        D = _kernels.bfs_all(indptr, indices)
         top = 2 * int(D.max(initial=0))
         for dtype in (np.int8, np.int16):
             if top <= np.iinfo(dtype).max:
@@ -96,16 +97,6 @@ class Graph:
         cn = _kernels.common_neighbors(indptr, indices, *self.edge_idx.T)
         cn.flags.writeable = False
         return cn
-
-    @property
-    def adjacency(self):
-        """Dense 0/1 adjacency, float32: O(n^2) memory, built on each access.
-        The BLAS operand of `_kernels.bfs_all`, which `dist_matrix` runs
-        once; nothing else reads it."""
-        A = np.zeros((self.n, self.n), np.float32)
-        A[self.edge_idx[:, 0], self.edge_idx[:, 1]] = 1
-        A[self.edge_idx[:, 1], self.edge_idx[:, 0]] = 1
-        return A
 
     @cached_property
     def labels(self):
@@ -212,10 +203,6 @@ def component_labels(g):
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
     return np.array([find(parent, i) for i in range(g.n)], dtype=np.int64)
-
-
-def is_connected(g):
-    return g.connected
 
 
 def biconnected_edge_blocks(n, edge_idx):

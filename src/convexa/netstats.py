@@ -7,7 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from .backbones import Backbone, backbone_graph
 from .centrality import Measure, compute
 from .convexity import convexity
 from .errors import ConvexaError, InputError
@@ -24,14 +23,6 @@ class StatsRecord:
     assortativity: Optional[float]  # None when undefined (zero degree variance)
     clustering: float
     convexity: float
-
-
-@dataclass(frozen=True)
-class CorrelationCell:
-    row_measure: Measure
-    col_measure: Measure
-    rho: Optional[float]  # None when undefined (a constant measure)
-    tau: Optional[float]
 
 
 MEASURES = tuple(Measure)
@@ -239,47 +230,38 @@ def _tau(a, b):
 
 def centrality_values(g: Graph) -> dict:
     """Measure -> {node: value} for each of the four measures."""
-    return {m: compute(g, m).values for m in MEASURES}
+    return {m: compute(g, m) for m in MEASURES}
 
 
-def correlation_matrix(
-    g: Graph, b: Backbone, row_vecs: Optional[dict] = None, sub: Optional[Graph] = None
-):
-    """4x4 grid: rows = measures on the full graph, columns = on the backbone.
-
-    A cell whose row or column measure is constant has rho = tau = None.
-
-    `row_vecs`, `centrality_values(g)` when omitted, saves recomputing the
-    rows when one graph is compared with several backbones; `sub`,
-    `backbone_graph(g, b)` when omitted, lets a caller that already built
-    the backbone's graph reuse it and what it has cached.
+def correlation_matrix(rows: dict, cols: dict):
+    """4x4 grid of (rho, tau) in `Measure` order: row i correlates measure i
+    of `rows` with each measure of `cols`, two Measure -> {node: value}
+    maps as `centrality_values` returns them, for the full graph and a
+    backbone over its node universe.  InputError unless the two maps cover
+    one node set.  A pair whose row or column measure is constant is
+    (None, None).
     """
-    if sub is None:
-        sub = backbone_graph(g, b)
-    if tuple(sub.ids) != tuple(g.ids):
-        raise InputError("backbone node universe must equal the graph's")
-    if row_vecs is None:
-        row_vecs = centrality_values(g)
-    col_vecs = centrality_values(sub)
-    # each of the 8 vectors is aligned and ranked once for the whole grid
-    keys = sorted(g.ids)
+    keys = sorted(rows[MEASURES[0]])
+    universe = set(keys)
+    if any(set(vecs[m]) != universe for vecs in (rows, cols) for m in MEASURES):
+        raise InputError("row and column centralities must cover one node set")
 
+    # each of the 8 vectors is aligned and ranked once for the whole grid
     def ranked(vecs, m):
         a = np.array([vecs[m][k] for k in keys], float)
         return a, average_ranks(a), _distinct(a)
 
-    cols = [ranked(col_vecs, cm) for cm in MEASURES]
+    col_ranks = [ranked(cols, cm) for cm in MEASURES]
     grid = []
     for rm in MEASURES:
-        a, ra, da = ranked(row_vecs, rm)
+        a, ra, da = ranked(rows, rm)
         row = []
-        for cm, (b, rb, db) in zip(MEASURES, cols):
+        for b, rb, db in col_ranks:
             if da < 2 or db < 2:
                 # zero rank variance: neither correlation is defined
-                rho = tau = None
+                row.append((None, None))
             else:
                 rho = _rho(ra, rb, da == len(keys) and db == len(keys))
-                tau = _tau(a, b)
-            row.append(CorrelationCell(rm, cm, rho=rho, tau=tau))
+                row.append((rho, _tau(a, b)))
         grid.append(row)
     return grid

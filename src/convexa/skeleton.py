@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, biconnected_edge_blocks, is_clique, is_connected
+from .graph import Graph, biconnected_edge_blocks, is_clique
 
 
 class Objective(Enum):
@@ -222,7 +222,7 @@ def extract_convex_skeleton(
     tie_break: TieBreak = TieBreak.LEX_SMALLEST,
     seed: int = 0,
 ) -> SkeletonResult:
-    if not is_connected(g):
+    if not g.connected:
         raise DisconnectedError("skeleton extraction requires a connected graph")
     rng = Stream(seed) if tie_break is TieBreak.RANDOM else None
     live = _LiveGraph(g, objective)

@@ -1,12 +1,11 @@
 """Deterministic synthetic graph generators for tests and demos."""
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConvexaError
-from .graph import Graph, build_graph, is_connected
+from .graph import Graph, build_graph
 
 
 class Kind(Enum):
@@ -26,17 +25,10 @@ _PARAMS = {
     Kind.TRIANGULAR_LATTICE: {"rows", "cols"},
 }
 
-#: the kinds that draw random numbers from GeneratorSpec.seed
+#: the kinds that draw random numbers from `generate`'s seed
 RANDOM_KINDS = frozenset({Kind.ER_RANDOM, Kind.TREE_OF_CLIQUES})
 #: the draws `connected_er` makes before it gives up
 MAX_TRIES = 1000
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    kind: Kind
-    params: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 def _label(i, width):
@@ -56,10 +48,11 @@ def _need(params, key, default=None):
     raise ConvexaError(f"generator parameter {key!r} is required")
 
 
-def generate(spec: GeneratorSpec) -> Graph:
-    """The graph of `spec`.  ConvexaError for a parameter its kind does not
-    read, a missing one, or a value out of range."""
-    k, p = spec.kind, spec.params
+def generate(kind: Kind, params=None, seed: int = 0) -> Graph:
+    """The `kind` graph with `params` (a dict of the kind's parameters),
+    `seed` seeding the random kinds.  ConvexaError for a parameter its kind
+    does not read, a missing one, or a value out of range."""
+    k, p = kind, params or {}
     unused = sorted(set(p) - _PARAMS.get(k, {"n"}))
     if unused:
         raise ConvexaError(f"generator {k.value} takes no parameter {', '.join(unused)}")
@@ -110,7 +103,7 @@ def generate(spec: GeneratorSpec) -> Graph:
         prob = float(_need(p, "p"))
         if not 0.0 <= prob <= 1.0:
             raise ConvexaError("p must be in [0, 1]")
-        rng = np.random.default_rng(spec.seed)
+        rng = np.random.default_rng(seed)
         lab = _labels(n)
         iu = np.triu_indices(n, k=1)
         mask = rng.random(len(iu[0])) < prob
@@ -121,7 +114,7 @@ def generate(spec: GeneratorSpec) -> Graph:
         int(_need(p, "cliques")),
         int(_need(p, "smin", 2)),
         int(_need(p, "smax", 5)),
-        spec.seed,
+        seed,
     )
 
 
@@ -160,7 +153,7 @@ def _tree_of_cliques(cliques, smin, smax, seed):
 def connected_er(n, p, seed):
     """ER graph regenerated until connected; returns (graph, rejection count)."""
     for attempt in range(MAX_TRIES):
-        g = generate(GeneratorSpec(Kind.ER_RANDOM, {"n": n, "p": p}, seed=seed + attempt))
-        if is_connected(g):
+        g = generate(Kind.ER_RANDOM, {"n": n, "p": p}, seed + attempt)
+        if g.connected:
             return g, attempt
     raise ConvexaError(f"no connected ER({n}, {p}) draw in {MAX_TRIES} tries")

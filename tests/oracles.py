@@ -545,7 +545,6 @@ def distribution_report_subgraphs(g, sk, expr, authors, binning):
 def random_graph(rng, n, p, connected=False, weighted=False):
     """Seeded random graph over zero-padded string ids (build_graph records)."""
     from convexa import build_graph
-    from convexa.graph import is_connected
 
     labels = [f"v{i:03d}" for i in range(n)]
     while True:
@@ -558,7 +557,7 @@ def random_graph(rng, n, p, connected=False, weighted=False):
                     else:
                         records.append((labels[i], labels[j]))
         g = build_graph(records, isolated_nodes=labels)
-        if not connected or is_connected(g):
+        if not connected or g.connected:
             return g
 
 
@@ -570,7 +569,6 @@ def random_gnm(rng, n, m):
     pairs is built.
     """
     from convexa import build_graph
-    from convexa.graph import is_connected
 
     labels = [f"v{i:03d}" for i in range(n)]
     i = np.arange(n, dtype=np.int64)
@@ -580,7 +578,7 @@ def random_gnm(rng, n, m):
         u = np.searchsorted(first, pick, side="right") - 1
         v = pick - first[u] + u + 1
         g = build_graph([(labels[a], labels[b]) for a, b in zip(u.tolist(), v.tolist())])
-        if g.n == n and is_connected(g):
+        if g.n == n and g.connected:
             return g
 
 

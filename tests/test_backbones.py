@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from convexa import (
-    BackboneKind,
     ConvexaError,
     InputError,
-    backbone_graph,
     build_graph,
     edge_betweenness,
     embeddedness_scores,
@@ -30,21 +28,21 @@ def test_mst_triangle():
     g = build_graph([("a", "b", 3), ("b", "c", 2), ("a", "c", 1)])
     assert max_spanning_tree_weight_oracle(g) == 5.0
     b = maximum_spanning_tree(g)
-    assert {g.edge_ids(e) for e in b.edges} == {("a", "b"), ("b", "c")}
+    assert {g.edge_ids(e) for e in b} == {("a", "b"), ("b", "c")}
 
 
 def test_mst_tree_input_is_itself():
     tree = build_graph([("a", "b"), ("b", "c"), ("b", "d")])
     b = maximum_spanning_tree(tree)
-    assert b.edges == frozenset(range(tree.m))
+    assert b == frozenset(range(tree.m))
 
 
 def test_mst_node_count_rule():
     rng = np.random.default_rng(9)
     g = random_graph(rng, 40, 0.15, connected=True, weighted=True)
     b = maximum_spanning_tree(g)
-    assert len(b.edges) == g.n - 1
-    sub = backbone_graph(g, b)
+    assert len(b) == g.n - 1
+    sub = g.subgraph_with_edges(b)
     assert len(connected_components(sub)) == 1  # spanning + acyclic follows
 
 
@@ -53,7 +51,7 @@ def test_mst_matches_bruteforce_small():
     for _ in range(15):
         g = random_graph(rng, int(rng.integers(3, 8)), 0.6, connected=True, weighted=True)
         b = maximum_spanning_tree(g)
-        got = float(g.weights[sorted(b.edges)].sum())
+        got = float(g.weights[sorted(b)].sum())
         assert got == pytest.approx(max_spanning_tree_weight_oracle(g))
 
 
@@ -115,9 +113,9 @@ def test_embeddedness_symmetric_and_relabel_invariant():
 def test_top_m_whole_graph_and_tie_rule():
     path = build_graph([("a", "b"), ("b", "c")])
     scores = edge_betweenness(path)
-    assert top_m_edge_backbone(path, scores, 2).edges == frozenset({0, 1})
+    assert top_m_edge_backbone(path, scores, 2) == frozenset({0, 1})
     b = top_m_edge_backbone(path, scores, 1)
-    assert {path.edge_ids(e) for e in b.edges} == {("a", "b")}  # lex tie-break
+    assert {path.edge_ids(e) for e in b} == {("a", "b")}  # lex tie-break
     with pytest.raises(ConvexaError):
         top_m_edge_backbone(path, scores, 3)
 
@@ -126,12 +124,9 @@ def test_top_m_count_matches_skeleton_budget():
     rng = np.random.default_rng(33)
     g = random_graph(rng, 30, 0.2, connected=True, weighted=True)
     m = len(extract_convex_skeleton(g).kept)
-    for scores, kind in (
-        (edge_betweenness(g), BackboneKind.HIGH_BETWEENNESS),
-        (embeddedness_scores(g), BackboneKind.HIGH_EMBEDDEDNESS),
-    ):
-        b = top_m_edge_backbone(g, scores, m, kind=kind)
-        assert len(b.edges) == m
+    for scores in (edge_betweenness(g), embeddedness_scores(g)):
+        b = top_m_edge_backbone(g, scores, m)
+        assert len(b) == m
 
 
 def test_top_m_random_tie_break_deterministic():
@@ -140,7 +135,7 @@ def test_top_m_random_tie_break_deterministic():
     scores = embeddedness_scores(g)
     a = top_m_edge_backbone(g, scores, 5, tie_break=TieBreak.RANDOM, seed=4)
     b = top_m_edge_backbone(g, scores, 5, tie_break=TieBreak.RANDOM, seed=4)
-    assert a.edges == b.edges
+    assert a == b
 
 
 def test_mst_matches_the_nested_find_loop():
@@ -148,12 +143,12 @@ def test_mst_matches_the_nested_find_loop():
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(2, 30)), 0.3, connected=True, weighted=True)
         order = np.lexsort((g.edge_idx[:, 1], g.edge_idx[:, 0], -g.weights))
-        assert maximum_spanning_tree(g).edges == maximum_spanning_tree_loop(g, order)
+        assert maximum_spanning_tree(g) == maximum_spanning_tree_loop(g, order)
         seed = int(rng.integers(1000))
         perm = np.random.default_rng(seed).permutation(g.m)
         order = perm[np.argsort(-g.weights[perm], kind="stable")]
         b = maximum_spanning_tree(g, tie_break=TieBreak.RANDOM, seed=seed)
-        assert b.edges == maximum_spanning_tree_loop(g, order)
+        assert b == maximum_spanning_tree_loop(g, order)
 
 
 def test_top_m_rejects_scores_of_the_wrong_shape():

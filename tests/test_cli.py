@@ -144,25 +144,26 @@ def test_compare_failure_writes_nothing(workdir, monkeypatch, capsys):
 def test_compare_builds_each_backbone_graph_once(workdir, monkeypatch):
     # descriptive_stats and the correlation grid share one graph object per
     # backbone, and with it its cached distances
-    import importlib
+    from convexa import Graph, cli
 
-    from convexa import cli
-
-    netstats = importlib.import_module("convexa.netstats")
     built = []
 
-    def counting(g, b):
-        built.append(b.kind)
-        return real(g, b)
+    def counting(g, edges):
+        sub = real(g, edges)
+        built.append(sub)
+        return sub
 
-    real = cli.backbone_graph
-    monkeypatch.setattr(cli, "backbone_graph", counting)
-    monkeypatch.setattr(netstats, "backbone_graph", counting)
+    real = Graph.subgraph_with_edges
+    monkeypatch.setattr(Graph, "subgraph_with_edges", counting)
+    valued = mock.Mock(wraps=cli.centrality_values)
+    monkeypatch.setattr(cli, "centrality_values", valued)
     code = cli.main(["compare", "--input", str(workdir / "toc.tsv"), "--runs", "5",
                      "--backbones", "skeleton,mst,betweenness,embeddedness",
                      "--output-dir", str(workdir / "cmp_once")])
     assert code == 0
-    assert len(built) == 4 and len(set(built)) == 4
+    assert len(built) == 4
+    # the full graph's centralities, then each backbone's on its one graph
+    assert [id(call.args[0]) for call in valued.call_args_list[1:]] == list(map(id, built))
 
 
 def _clustered_tsv(path, seed=3):
@@ -172,8 +173,8 @@ def _clustered_tsv(path, seed=3):
 
     import convexa as cx
 
-    toc = cx.generate(cx.GeneratorSpec(
-        cx.Kind.TREE_OF_CLIQUES, {"cliques": 12, "smin": 3, "smax": 5}, seed=seed))
+    toc = cx.generate(
+        cx.Kind.TREE_OF_CLIQUES, {"cliques": 12, "smin": 3, "smax": 5}, seed=seed)
     rng = np.random.default_rng(seed)
     have = {frozenset(toc.edge_ids(e)) for e in range(toc.m)}
     records = [toc.edge_ids(e) for e in range(toc.m)]
@@ -189,14 +190,13 @@ def _clustered_tsv(path, seed=3):
 
 
 def _forbid_dense_distances(monkeypatch):
-    # neither all-pairs BFS nor the dense adjacency may be built
-    from convexa import Graph, _kernels
+    # neither all-pairs BFS nor the dense adjacency it builds may run
+    from convexa import _kernels
 
     def forbidden(*args):
         raise AssertionError("dense distance matrix or adjacency built")
 
     monkeypatch.setattr(_kernels, "bfs_all", forbidden)
-    monkeypatch.setattr(Graph, "adjacency", property(forbidden))
 
 
 @pytest.mark.parametrize("argv", [
@@ -761,6 +761,38 @@ def test_seed_is_recorded_where_it_is_drawn_from(workdir, argv):
     r = run(*argv, "--seed", "3", "--output", str(out))
     assert r.returncode == 0, r.stderr
     assert json.loads((workdir / (out.name + ".meta.json")).read_text())["config"]["seed"] == 3
+
+
+#: case -> argv of a run that draws random numbers (C4 stands for the
+#: 4-cycle, whose convexity runs the Monte Carlo, OUT for the output path)
+DRAWING = {
+    "convexity": ["convexity", "--input", "C4", "--runs", "5", "--output", "OUT"],
+    "compare": ["compare", "--input", "C4", "--runs", "5", "--output-dir", "OUT"],
+    "skeleton-random": ["skeleton", "--input", "C4", "--runs", "5", "--tie-break", "random",
+                        "--output", "OUT"],
+    "backbone-mst-random": ["backbone", "--input", "C4", "--kind", "mst",
+                            "--tie-break", "random", "--output", "OUT"],
+    "generate-er_random": ["generate", "--kind", "er_random", "--n", "5", "--p", "0.5",
+                           "--output", "OUT"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRAWING))
+def test_negative_seed_is_refused(workdir, case):
+    out = workdir / f"negative_seed_{case}"
+    paths = {"C4": workdir / "c4.tsv", "OUT": out}
+    argv = [str(paths.get(a, a)) for a in DRAWING[case]]
+    r = run(*argv, "--seed", "-1")
+    _refused(workdir, r, out)
+    assert "--seed must be a non-negative integer" in r.stderr
+
+
+def test_negative_env_seed_is_refused(workdir):
+    out = workdir / "negative_env_seed.csv"
+    r = run("convexity", "--input", str(workdir / "c4.tsv"), "--runs", "5",
+            "--output", str(out), env={"CONVEXA_SEED": "-1"})
+    _refused(workdir, r, out)
+    assert "CONVEXA_SEED must be a non-negative integer" in r.stderr
 
 
 @pytest.mark.parametrize("argv", [

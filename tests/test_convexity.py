@@ -19,7 +19,7 @@ from convexa import (
 )
 from convexa import _kernels
 from convexa import graph as graph_module
-from convexa.synth import GeneratorSpec, Kind, generate
+from convexa.synth import Kind, generate
 from oracles import (
     connected_components,
     convex_hull_oracle,
@@ -212,10 +212,10 @@ def block_graphs(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "toc":
         params = {"cliques": draw(st.integers(1, 8)), "smin": 2, "smax": 6}
-        return generate(GeneratorSpec(Kind.TREE_OF_CLIQUES, params, seed=seed))
+        return generate(Kind.TREE_OF_CLIQUES, params, seed=seed)
     n = draw(st.integers(2, 25))
     if kind == "clique":
-        return generate(GeneratorSpec(Kind.COMPLETE, {"n": n}))
+        return generate(Kind.COMPLETE, {"n": n})
     rng = np.random.default_rng(seed)
     return build_graph([(f"v{int(rng.integers(i)):03d}", f"v{i:03d}") for i in range(1, n)])
 
@@ -280,7 +280,7 @@ def expansion_graphs(draw):
         return random_graph(rng, n, p, connected=True)
     if kind == "toc_chords":
         params = {"cliques": draw(st.integers(2, 6)), "smin": 2, "smax": 5}
-        toc = generate(GeneratorSpec(Kind.TREE_OF_CLIQUES, params, seed=seed))
+        toc = generate(Kind.TREE_OF_CLIQUES, params, seed=seed)
         pairs = {toc.edge_ids(e) for e in range(toc.m)}
         for _ in range(draw(st.integers(1, 4))):
             u, v = sorted(rng.choice(list(toc.ids), 2, replace=False).tolist())
@@ -288,7 +288,7 @@ def expansion_graphs(draw):
         return build_graph(sorted(pairs))
     n = draw(st.integers(2, 16))
     if kind == "clique":
-        return generate(GeneratorSpec(Kind.COMPLETE, {"n": n}))
+        return generate(Kind.COMPLETE, {"n": n})
     return build_graph([(f"v{i - 1:03d}", f"v{i:03d}") for i in range(1, n)])
 
 

@@ -37,7 +37,7 @@ def test_bfs_all_backends_agree():
     for g in [split] + [g for g, _ in _graphs()]:
         indptr, indices, _ = g.csr
         a = bfs_all_loop(indptr, indices, g.n)
-        b = _kernels.bfs_all(g.adjacency)
+        b = _kernels.bfs_all(indptr, indices)
         assert b.dtype == np.int32
         assert np.array_equal(a, b)
         assert np.array_equal(g.dist_matrix, a)
@@ -208,7 +208,7 @@ def _random_gnm_pair_list(rng, n, m):
     while True:
         pick = rng.choice(len(pairs), size=m, replace=False)
         g = cx.build_graph([(labels[pairs[k][0]], labels[pairs[k][1]]) for k in pick])
-        if g.n == n and cx.is_connected(g):
+        if g.n == n and g.connected:
             return g
 
 

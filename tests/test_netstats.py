@@ -6,8 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from convexa import (
-    Backbone,
-    BackboneKind,
     ConvexaError,
     InputError,
     assortativity,
@@ -23,7 +21,6 @@ from convexa import (
     spearman_rho,
 )
 from convexa import _kernels
-from convexa.backbones import backbone_graph
 from convexa.netstats import (
     MEASURES,
     average_ranks,
@@ -97,7 +94,7 @@ def test_descriptive_stats_spanning_tree_pattern():
     # tree columns show clustering 0 and convexity 1 regardless of size
     rng = np.random.default_rng(12)
     g = random_graph(rng, 60, 0.1, connected=True, weighted=True)
-    tree = g.subgraph_with_edges(sorted(maximum_spanning_tree(g).edges))
+    tree = g.subgraph_with_edges(sorted(maximum_spanning_tree(g)))
     s = descriptive_stats(tree, convexity_runs=20, seed=2)
     assert s.edges == g.n - 1
     assert s.pct_lcc == 100.0
@@ -218,11 +215,12 @@ def test_correlation_symmetry_and_monotone_invariance():
 def test_correlation_matrix_identity_backbone():
     rng = np.random.default_rng(10)
     g = random_graph(rng, 14, 0.35, connected=True, weighted=True)
-    whole = Backbone(BackboneKind.CONVEX_SKELETON, frozenset(range(g.m)))
-    grid = correlation_matrix(g, whole)
+    whole = g.subgraph_with_edges(range(g.m))
+    grid = correlation_matrix(centrality_values(g), centrality_values(whole))
     for i in range(4):
-        assert grid[i][i].rho == 1.0
-        assert grid[i][i].tau == 1.0
+        rho, tau = grid[i][i]
+        assert rho == 1.0
+        assert tau == 1.0
 
 
 def test_correlation_matrix_cells_match_the_pairwise_functions():
@@ -230,21 +228,32 @@ def test_correlation_matrix_cells_match_the_pairwise_functions():
     # public pairwise functions bit for bit, or be None for a constant vector
     rng = np.random.default_rng(11)
     cycle = build_graph(C4)
-    cases = [(cycle, Backbone(BackboneKind.CONVEX_SKELETON, frozenset(range(cycle.m))))]
+    cases = [(cycle, frozenset(range(cycle.m)))]
     for _ in range(6):
         g = random_graph(rng, int(rng.integers(6, 20)), 0.3, connected=True, weighted=True)
         cases.append((g, maximum_spanning_tree(g)))
     for g, b in cases:
         rows = centrality_values(g)
-        cols = centrality_values(backbone_graph(g, b))
-        for cells, rm in zip(correlation_matrix(g, b), MEASURES):
-            for cell, cm in zip(cells, MEASURES):
+        cols = centrality_values(g.subgraph_with_edges(b))
+        for cells, rm in zip(correlation_matrix(rows, cols), MEASURES):
+            for (rho, tau), cm in zip(cells, MEASURES):
                 x, y = rows[rm], cols[cm]
                 if len(set(x.values())) < 2 or len(set(y.values())) < 2:
-                    assert cell.rho is None and cell.tau is None
+                    assert rho is None and tau is None
                 else:
-                    assert cell.rho == spearman_rho(x, y)
-                    assert cell.tau == kendall_tau(x, y)
+                    assert rho == spearman_rho(x, y)
+                    assert tau == kendall_tau(x, y)
+
+
+def test_correlation_matrix_refuses_mismatched_node_sets():
+    # a copy of the 4-cycle with node "a" renamed "z"
+    g = build_graph(C4)
+    h = build_graph([(u.replace("a", "z"), v.replace("a", "z")) for u, v in C4])
+    assert h.n == g.n and set(h.ids) == {"b", "c", "d", "z"}
+    with pytest.raises(InputError, match="one node set"):
+        correlation_matrix(centrality_values(g), centrality_values(h))
+    with pytest.raises(InputError, match="one node set"):
+        correlation_matrix(centrality_values(h), centrality_values(g))
 
 
 def test_largest_component_matches_the_loop_bit_for_bit():

@@ -13,7 +13,6 @@ from convexa import (
     build_graph,
     convexity,
     extract_convex_skeleton,
-    is_connected,
     is_tree_of_cliques,
     remainder,
     retained_weight_fraction,
@@ -21,7 +20,7 @@ from convexa import (
 )
 from convexa.graph import biconnected_edge_blocks
 from convexa.skeleton import _LiveGraph
-from convexa.synth import GeneratorSpec, Kind, generate
+from convexa.synth import Kind, generate
 from oracles import blocks_info, objective_after_removal, random_graph, skeleton_loop
 
 DIAMOND = [("a", "b"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
@@ -59,7 +58,7 @@ def test_diamond_removes_lex_smallest_cycle_edge():
 
 def test_remainder_partition():
     g = build_graph(DIAMOND, isolated_nodes=["z"])
-    assert not is_connected(g)
+    assert not g.connected
     with pytest.raises(DisconnectedError):
         extract_convex_skeleton(g)
     g = build_graph(DIAMOND)
@@ -102,7 +101,7 @@ def test_structural_invariants_random_graphs():
         g = random_graph(rng, int(rng.integers(4, 25)), 0.25, connected=True)
         sk = extract_convex_skeleton(g)
         sub = skeleton_graph(g, sk)
-        assert is_connected(sub)
+        assert sub.connected
         assert is_tree_of_cliques(sub)
         assert g.n - 1 <= len(sk.kept) <= g.m
         assert convexity(sub, runs=20, seed=1).x == 1.0
@@ -144,7 +143,7 @@ def test_random_tie_break_reproducible_and_valid():
     b = extract_convex_skeleton(g, tie_break=TieBreak.RANDOM, seed=5)
     assert a.kept == b.kept
     sub = skeleton_graph(g, a)
-    assert is_connected(sub) and is_tree_of_cliques(sub)
+    assert sub.connected and is_tree_of_cliques(sub)
 
 
 def test_average_local_objective():
@@ -153,7 +152,7 @@ def test_average_local_objective():
         g = random_graph(rng, 12, 0.35, connected=True)
         sk = extract_convex_skeleton(g, objective=Objective.AVERAGE_LOCAL)
         sub = skeleton_graph(g, sk)
-        assert is_connected(sub) and is_tree_of_cliques(sub)
+        assert sub.connected and is_tree_of_cliques(sub)
 
 
 def test_average_local_scores_match_recomputation():
@@ -180,7 +179,7 @@ def skeleton_graphs(draw):
             rng, draw(st.integers(3, 22)), draw(st.floats(0.15, 0.7)), connected=True
         )
     params = {"cliques": draw(st.integers(1, 8)), "smin": 2, "smax": 5}
-    toc = generate(GeneratorSpec(Kind.TREE_OF_CLIQUES, params, seed=draw(st.integers(0, 1000))))
+    toc = generate(Kind.TREE_OF_CLIQUES, params, seed=draw(st.integers(0, 1000)))
     records = [toc.edge_ids(e) for e in range(toc.m)]
     if kind == "chorded_toc":
         for _ in range(draw(st.integers(1, 15))):
@@ -237,7 +236,7 @@ def test_block_test_passes_only_blocks_that_stay_biconnected(g, objective):
 
 @pytest.mark.parametrize("k", [4, 5, 9])
 def test_block_test_fails_on_a_cycle(k):
-    g = generate(GeneratorSpec(Kind.CYCLE, {"n": k}, seed=0))
+    g = generate(Kind.CYCLE, {"n": k}, seed=0)
     for e in range(k):
         patch, answers = _spy_block_test(lambda live, label, result: None)
         live = _LiveGraph(g, Objective.GLOBAL_TRANSITIVITY)

@@ -27,24 +27,51 @@ def _arcs(indptr, nodes):
 # BFS and common neighbours
 
 def bfs_all(indptr, indices):
-    """All-pairs hop distances, int32, -1 for unreachable, from the CSR
-    adjacency.  All sources advance together, one layer per product with
-    the dense 0/1 float32 adjacency, a temporary of O(n^2) memory built
-    here; float32 products run on BLAS (bool matmul does not) and stay
-    exact: sums of at most n < 2**24 ones."""
+    """All-pairs hop distances from the CSR adjacency, -1 for unreachable,
+    in the narrowest of int8, int16 and int32 that holds twice the largest
+    distance, so a sum of two distances never overflows.
+
+    All sources advance together as packed bit rows: bit s of row v says
+    that source s has reached v, and the rows are 64-bit words.  A layer
+    ORs each node's neighbours' frontier rows (one `reduceat` over the
+    CSR) and masks the visited bits; every pair not yet reached then gains
+    1 in D, so a pair at distance d gains d, and the pairs still unreached
+    at the end are set to -1.  D widens as soon as twice the layer count
+    would pass its type's maximum.  Memory is D, one unpacked n x n byte
+    mask per layer, a few bit-row arrays of n^2 / 8 bytes and the gathered
+    rows of one block of word columns, max(n^2, 16m) bytes.  Nothing here
+    calls BLAS.
+    """
     n = indptr.size - 1
-    A = np.zeros((n, n), np.float32)
-    A[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1
-    D = np.full((n, n), -1, np.int32)
-    frontier = np.eye(n, dtype=bool)
+    has = np.flatnonzero(np.diff(indptr))
+    starts = indptr[has]
+    s = np.arange(n)
+    words = -(-n // 64)
+    frontier = np.zeros((n, 8 * words), np.uint8)
+    frontier[s, s >> 3] = 0x80 >> (s & 7)  # np.packbits order
+    frontier = frontier.view(np.uint64)
     visited = frontier.copy()
-    d = 0
-    while frontier.any():
-        D[frontier] = d
-        nxt = (frontier.astype(np.float32) @ A > 0) & ~visited
+    D = np.zeros((n, n), np.int8)
+    # a block of word columns gathers at most n^2 bytes of frontier rows
+    # (8 bytes per arc and word), however dense the graph
+    width = max(1, n * n // (8 * max(indices.size, 1)))
+    layers = 0
+    while has.size:
+        nxt = np.zeros_like(frontier)
+        for lo in range(0, words, width):
+            cols = slice(lo, lo + width)
+            nxt[has, cols] = np.bitwise_or.reduceat(frontier[indices, cols], starts, axis=0)
+        unseen = ~visited
+        nxt &= unseen
+        if not nxt.any():
+            break
+        layers += 1
+        if 2 * layers > np.iinfo(D.dtype).max:
+            D = D.astype(np.int16 if D.dtype == np.int8 else np.int32)
+        D += np.unpackbits(unseen.view(np.uint8), axis=1, count=n).view(np.int8)
         visited |= nxt
         frontier = nxt
-        d += 1
+    D[np.unpackbits((~visited).view(np.uint8), axis=1, count=n).view(bool)] = -1
     return D
 
 

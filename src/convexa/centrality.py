@@ -68,7 +68,9 @@ def closeness(g: Graph) -> dict:
     distances), with r the nodes reached, the node itself included.  The
     reach counts and exact distance sums come from the cached Brandes pass
     (`Graph.brandes`), which they serve only here and in
-    `netstats.mean_distance`: no distance matrix, O(n + m) memory."""
+    `netstats.mean_distance`: no distance matrix, O(n + m) memory.  On a
+    tree of cliques that pass is the closed form off the block-cut tree,
+    whose distance sums are rerooted from one node's, with no BFS."""
     n = g.n
     r, total = g.brandes.reach, g.brandes.dist_sum
     with np.errstate(divide="ignore", invalid="ignore"):

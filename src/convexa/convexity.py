@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, is_clique
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def convexity(g: Graph, runs: int = 100, *, seed: int) -> ConvexityScore:
     if runs < 1:
         raise ConvexaError("runs must be positive")
     n = g.n
-    if is_tree_of_cliques(g):
+    if g.is_tree_of_cliques:
         # geodesics in a block graph are unique and pass through the cut
         # vertices, so every connected set is convex: each step adds one node
         totals = runs * np.arange(1, n + 1, dtype=np.int64)
@@ -165,6 +165,8 @@ def convexity(g: Graph, runs: int = 100, *, seed: int) -> ConvexityScore:
 
 
 def is_tree_of_cliques(g: Graph) -> bool:
-    """True iff every biconnected block is a complete subgraph."""
+    """True iff every biconnected block is a complete subgraph
+    (`Graph.is_tree_of_cliques`); DisconnectedError on a disconnected
+    graph."""
     _require_connected(g)
-    return all(is_clique(g.edge_idx, block) for block in g.blocks)
+    return g.is_tree_of_cliques

@@ -165,6 +165,12 @@ def test_tree_of_cliques_examples():
     tree = build_graph([("a", "b"), ("b", "c"), ("b", "d")])
     assert is_tree_of_cliques(tree)
     assert not is_tree_of_cliques(build_graph(C4))
+    # a forest of cliques is no tree: the function refuses it, the cached
+    # answer that Graph.brandes reads says False
+    forest = build_graph(TRIANGLE + [("d", "e")])
+    with pytest.raises(DisconnectedError):
+        is_tree_of_cliques(forest)
+    assert not forest.is_tree_of_cliques
 
 
 def fig_one_middle_graph():
@@ -264,6 +270,25 @@ def test_whole_graph_blocks_are_decomposed_once_per_graph():
         convexity(g, runs=5, seed=0)
         is_tree_of_cliques(g)
     assert sk.removed and len(whole) == 1
+
+
+def test_skeleton_column_decomposes_its_blocks_once():
+    # the skeleton's convexity shortcut and its closed-form Brandes read one
+    # cached tree-of-cliques answer
+    g = random_graph(np.random.default_rng(6), 16, 0.35, connected=True)
+    sub = g.subgraph_with_edges(extract_convex_skeleton(g).kept)
+    calls = []
+
+    def counting(n, edge_idx):
+        calls.append(n)
+        return real(n, edge_idx)
+
+    real = graph_module.biconnected_edge_blocks
+    with mock.patch.object(graph_module, "biconnected_edge_blocks", counting):
+        assert convexity(sub, runs=5, seed=0).x == 1.0
+        sub.brandes
+        assert is_tree_of_cliques(sub)
+    assert calls == [sub.n]
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import convexa as cx
 from convexa import _kernels
-from convexa.synth import connected_er
+from convexa.synth import Kind, connected_er, generate
 from oracles import (
     bfs_all_loop,
     brandes_loop,
@@ -115,6 +115,23 @@ def test_dist_matrix_peak_memory_is_at_most_five_bytes_per_pair(case):
         tracemalloc.stop()
     assert D.dtype == (np.int8 if case == "er400" else np.int16)
     assert peak <= 5 * g.n**2
+
+
+def test_brandes_peak_memory_is_at_most_30_bytes_per_block_element():
+    # 600 nodes and 3000 edges: 9 sources per block, whose largest layer
+    # holds about 20k arcs.  A layer's arc arrays are built in place and
+    # dropped after their last read; built from fresh temporaries and kept
+    # to the end of the layer, they read 33 bytes per element here
+    g = random_gnm(np.random.default_rng(600), 600, 3000)
+    indptr, indices, edge_id = g.csr
+    assert _kernels.BRANDES_BLOCK_ELEMENTS // (g.n + 2 * g.m) == 9
+    tracemalloc.start()
+    try:
+        _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * _kernels.BRANDES_BLOCK_ELEMENTS
 
 
 def test_hull_close_on_int16_distances_matches_loop_per_row():
@@ -375,6 +392,59 @@ def test_brandes_reach_and_distance_sums_match_the_bfs_loop():
             with mock.patch.object(_kernels, "BRANDES_BLOCK_ELEMENTS", budget):
                 run = _kernels.brandes(indptr, indices, edge_id, g.n, g.m)
             _assert_reach_matches_bfs_loop(indptr, indices, g.n, run.reach, run.dist_sum)
+
+
+def _trees_of_cliques():
+    """Connected trees of cliques: no node, one node, one edge, K5, paths,
+    stars, two triangles on one node, generated ones (smin 2 to 6) and the
+    skeleton and spanning tree of a clustered graph."""
+    yield cx.build_graph([])
+    yield cx.build_graph([], isolated_nodes=["a"])
+    yield cx.build_graph([("a", "b")])
+    yield generate(Kind.COMPLETE, {"n": 5})
+    for n in (3, 4, 9, 40):
+        yield _path(n)
+        yield generate(Kind.STAR, {"n": n})
+    yield cx.build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
+    for seed in range(6):
+        for smin in range(2, 7):
+            params = {"cliques": 3 + 4 * seed, "smin": smin, "smax": smin + seed % 3}
+            yield generate(Kind.TREE_OF_CLIQUES, params, seed)
+    # a clustered graph: a tree of cliques with 60 random chords
+    toc = generate(Kind.TREE_OF_CLIQUES, {"cliques": 40, "smin": 3, "smax": 6}, 3)
+    chords = np.random.default_rng(3).choice(toc.ids, (60, 2))
+    g = cx.build_graph([toc.edge_ids(e) for e in range(toc.m)] + chords.tolist())
+    assert not g.is_tree_of_cliques
+    yield g.subgraph_with_edges(cx.extract_convex_skeleton(g).kept)
+    yield g.subgraph_with_edges(cx.maximum_spanning_tree(g))
+
+
+def test_tree_of_cliques_brandes_in_closed_form_matches_the_loops():
+    for g in _trees_of_cliques():
+        assert g.is_tree_of_cliques
+        indptr, indices, edge_id = g.csr
+        node, edge, reach, dist_sum = g.brandes
+        ref_node, ref_edge = brandes_loop(indptr, indices, edge_id, g.n, g.m)
+        assert node.dtype == edge.dtype == np.float64
+        assert np.array_equal(node, ref_node)
+        assert np.array_equal(edge, ref_edge)
+        _assert_reach_matches_bfs_loop(indptr, indices, g.n, reach, dist_sum)
+
+
+def test_closed_form_runs_no_bfs_on_a_tree_of_cliques_and_only_there():
+    forest = cx.build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("d", "e")])
+    c4 = cx.build_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("d", "e")])
+    with mock.patch.object(_kernels, "_brandes_block", wraps=_kernels._brandes_block) as block:
+        for g in _trees_of_cliques():
+            g.brandes
+        assert block.call_count == 0
+        for g in (forest, c4):
+            assert not g.is_tree_of_cliques
+            node, edge, reach, dist_sum = g.brandes
+            indptr, indices, edge_id = g.csr
+            ref_node, ref_edge = brandes_loop(indptr, indices, edge_id, g.n, g.m)
+            assert np.array_equal(node, ref_node) and np.array_equal(edge, ref_edge)
+    assert block.call_count == 2
 
 
 def _neighbour_sets(g):

@@ -23,7 +23,6 @@ from .coauthor import (
     CountingScheme,
     DistributionReport,
     PaperRecord,
-    academic_birth_year,
     build_coauthorship,
     distribution_report,
     edge_attribute,
@@ -61,7 +60,6 @@ from .skeleton import (
     extract_convex_skeleton,
     remainder,
     retained_weight_fraction,
-    skeleton_graph,
 )
 from .synth import Kind, connected_er, generate
 

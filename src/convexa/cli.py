@@ -47,11 +47,9 @@ from .netstats import (
 )
 from .skeleton import (
     Objective,
-    SkeletonResult,
     TieBreak,
     extract_convex_skeleton,
     retained_weight_fraction,
-    skeleton_graph,
 )
 from .synth import RANDOM_KINDS, Kind, generate
 
@@ -241,10 +239,10 @@ def cmd_skeleton(args):
     seed = _resolve_seed(args)
     _skeleton_flags(args, objective=True, tie_break=True)
     sk = _skeleton_of(g, args, seed)
-    ef, wf = retained_weight_fraction(g, sk)
+    ef, wf = retained_weight_fraction(g, sk.kept)
     buf = io.StringIO()
     write_edge_tsv(g, buf, flags=sk.kept, flag_name="in_skeleton")
-    stats = descriptive_stats(skeleton_graph(g, sk), convexity_runs=args.runs, seed=seed)
+    stats = descriptive_stats(g.subgraph_with_edges(sk.kept), convexity_runs=args.runs, seed=seed)
     config = {
         "input": args.input,
         "objective": args.objective,
@@ -278,18 +276,18 @@ def cmd_skeleton(args):
     return 0
 
 
-def _make_backbone(g, kind, args, seed, sk=None):
+def _make_backbone(g, kind, args, seed, skeleton=None):
     """The edge positions of g's `kind` backbone.  The top-m kinds keep --m
-    edges, by default as many as the convex skeleton `sk`, which is
-    extracted here when it is needed and not given."""
+    edges, by default as many as the convex skeleton, whose edge positions
+    `skeleton` are extracted here when they are needed and not given."""
     tie_break = TieBreak(args.tie_break)
     if kind is BackboneKind.MAX_SPANNING_TREE:
         return maximum_spanning_tree(g, tie_break=tie_break, seed=seed)
-    if sk is None and (kind is BackboneKind.CONVEX_SKELETON or args.m is None):
-        sk = _skeleton_of(g, args, seed)
+    if skeleton is None and (kind is BackboneKind.CONVEX_SKELETON or args.m is None):
+        skeleton = _skeleton_of(g, args, seed).kept
     if kind is BackboneKind.CONVEX_SKELETON:
-        return sk.kept
-    m = len(sk.kept) if args.m is None else args.m
+        return skeleton
+    m = len(skeleton) if args.m is None else args.m
     if kind is BackboneKind.HIGH_BETWEENNESS:
         scores = edge_betweenness(g)
     else:
@@ -336,15 +334,17 @@ def cmd_compare(args):
     for k in kinds:
         if k not in {kind.value for kind in BackboneKind}:
             raise InputError(f"unknown backbone kind {k!r}")
+        if kinds.count(k) > 1:
+            raise InputError(f"--backbones lists {k!r} more than once")
     # one skeleton serves every kind but the spanning tree (the top-m kinds
     # keep as many edges as the skeleton)
     extracts = bool(set(kinds) - {BackboneKind.MAX_SPANNING_TREE.value})
     _skeleton_flags(args, objective=extracts, tie_break=bool(kinds))
-    sk = _skeleton_of(g, args, seed) if extracts else None
+    skeleton = _skeleton_of(g, args, seed).kept if extracts else None
     columns = {"network": descriptive_stats(g, convexity_runs=args.runs, seed=seed)}
     backbones = {}  # name -> its graph, one object for its stats and centralities
     for name in kinds:
-        sub = g.subgraph_with_edges(_make_backbone(g, BackboneKind(name), args, seed, sk))
+        sub = g.subgraph_with_edges(_make_backbone(g, BackboneKind(name), args, seed, skeleton))
         backbones[name] = sub
         columns[name] = descriptive_stats(sub, convexity_runs=args.runs, seed=seed)
     rows = [["statistic", *columns], *_stat_rows(columns.values())]
@@ -442,14 +442,6 @@ def cmd_buildnet(args):
     return 0
 
 
-def _skeleton_from_tsv(g, path):
-    """The skeleton flagged in a `u v w flag` TSV written by `skeleton`; the
-    removal log lists the other edges, with no objective values."""
-    kept = read_edge_flags(g, path)
-    removed = tuple((g.edge_ids(e), float("nan")) for e in range(g.m) if e not in kept)
-    return SkeletonResult(kept=kept, removed=removed)
-
-
 def cmd_distributions(args):
     g = _read_graph(args.input)
     # a skeleton read from a file draws no random numbers
@@ -466,11 +458,11 @@ def cmd_distributions(args):
     binning = Binning(args.bin_width, args.bin_origin) if numeric else Binning()
     _skeleton_flags(args, objective=not args.skeleton, tie_break=not args.skeleton)
     if args.skeleton:
-        sk = _skeleton_from_tsv(g, args.skeleton)
+        kept = read_edge_flags(g, args.skeleton)
     else:
-        sk = _skeleton_of(g, args, seed)
+        kept = _skeleton_of(g, args, seed).kept
     authors = read_authors_csv(args.authors)
-    rep = distribution_report(g, sk, expr, authors, binning)
+    rep = distribution_report(g, kept, expr, authors, binning)
     head = ["bin_low", "bin_high"] if numeric else ["category"]
     rows = [[*head, "skeleton_weight", "remainder_weight"]]
     for label, sw, rw in zip(rep.bins, rep.skeleton_weight, rep.remainder_weight):

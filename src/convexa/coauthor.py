@@ -13,7 +13,6 @@ from enum import Enum
 
 from .errors import ConvexaError, InputError
 from .graph import Graph, build_graph, open_text
-from .skeleton import SkeletonResult, _check_match
 
 #: marker for attribute values that cannot be derived
 MISSING = None
@@ -60,16 +59,6 @@ def build_coauthorship(papers, scheme: CountingScheme) -> Graph:
     return build_graph(records, isolated_nodes=solo)
 
 
-def academic_birth_year(papers, author):
-    """Year of the author's first dated paper, or MISSING."""
-    years = [
-        p.attrs["year"]
-        for p in papers
-        if author in p.authors and p.attrs.get("year") is not None
-    ]
-    return min(years) if years else MISSING
-
-
 # ---------------------------------------------------------------------------
 # edge attribute derivations
 
@@ -86,14 +75,11 @@ _NUMERIC_KINDS = {"MEAN", "ABS_DIFF", "PAIR_MIN", "PAIR_MAX"}
 
 
 def parse_expr(text):
-    """Parse 'KIND(attr)' or 'KIND:attr'."""
+    """Parse 'KIND(attr)'."""
     text = text.strip()
-    if "(" in text and text.endswith(")"):
-        kind, attr = text[:-1].split("(", 1)
-    elif ":" in text:
-        kind, attr = text.split(":", 1)
-    else:
+    if "(" not in text or not text.endswith(")"):
         raise InputError(f"cannot parse attribute expression {text!r}")
+    kind, attr = text[:-1].split("(", 1)
     kind = kind.strip().upper()
     if kind not in _NUMERIC_KINDS | {"SAME"}:
         raise InputError(f"unknown derivation {kind!r}")
@@ -167,14 +153,16 @@ class DistributionReport:
 
 
 def distribution_report(
-    g: Graph, sk: SkeletonResult, expr: AttrExpr, authors: dict, binning: Binning
+    g: Graph, kept, expr: AttrExpr, authors: dict, binning: Binning
 ) -> DistributionReport:
-    _check_match(g, sk)
+    """Edge weight per bin of `expr`, on the skeleton's edge positions
+    `kept` and on the rest of g."""
+    kept = g.edge_set(kept)
     acc = {"sk": {}, "re": {}}
     miss = {"sk": 0.0, "re": 0.0}
     # each tag sums its edges in g's order, as over its own subgraph
     for e in range(g.m):
-        tag = "sk" if e in sk.kept else "re"
+        tag = "sk" if e in kept else "re"
         val = edge_attribute(expr, g.edge_ids(e), authors)
         w = float(g.weights[e])
         if val is MISSING:

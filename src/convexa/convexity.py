@@ -12,7 +12,7 @@ tests in O(deg) distance rows whether the pushed node alone keeps its set
 convex, which it does for most steps.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .errors import ConvexaError, DisconnectedError, InputError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class ConvexityScore:
+class ConvexityScore(NamedTuple):
     x: float
     profile: np.ndarray  # length n; s_t = average fraction of captured nodes after step t
 

@@ -141,10 +141,24 @@ class Graph:
     def total_weight(self):
         return float(self.weights.sum())
 
+    def edge_set(self, positions):
+        """`positions` as a frozenset of edge positions; InputError unless
+        each is an integer in 0..m-1."""
+        edges = frozenset(positions)
+        if edges:
+            try:
+                pos = np.array(list(edges))
+                ok = pos.ndim == 1 and pos.dtype.kind in "iu" and 0 <= pos.min() and pos.max() < self.m
+            except ValueError:  # ragged: a sequence among the positions
+                ok = False
+            if not ok:
+                raise InputError(f"edge set does not match this graph of {self.m} edges")
+        return edges
+
     def subgraph_with_edges(self, edge_positions):
         """Same node universe, restricted edge set, original weights."""
-        pos = np.asarray(sorted(edge_positions), dtype=np.int64)
-        return Graph(self.ids, self.edge_idx[pos].copy(), self.weights[pos].copy())
+        pos = np.array(sorted(self.edge_set(edge_positions)), dtype=np.int64)
+        return Graph(self.ids, self.edge_idx[pos], self.weights[pos])
 
 
 def build_csr(n, edge_idx):
@@ -418,7 +432,8 @@ def format_weight(w):
 def write_edge_tsv(g, fh, flags=None, flag_name="in_backbone"):
     """Write `u\tv\tweight` lines; with `flags` adds a 0/1 membership column.
 
-    Raises InputError, before writing anything, for an endpoint id that
+    Raises InputError, before writing anything, for `flags` that are not
+    an edge set of g (see `Graph.edge_set`), and for an endpoint id that
     holds a tab or a line break, or that starts with `#` (a comment line to
     `read_edge_tsv`): the file could not be read back.
     """
@@ -428,6 +443,7 @@ def write_edge_tsv(g, fh, flags=None, flag_name="in_backbone"):
         if g.ids[i].lstrip().startswith("#"):
             raise InputError(f"node id {g.ids[i]!r} starts with '#', which marks a comment")
     if flags is not None:
+        flags = g.edge_set(flags)
         fh.write(f"# u\tv\tweight\t{flag_name}\n")
     for e in range(g.m):
         u, v = g.edge_ids(e)

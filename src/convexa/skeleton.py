@@ -15,13 +15,13 @@ expressions over the node and edge arrays.  The values, and hence the
 removal log, are bit-identical to evaluating every live graph from scratch.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from ._rng import Stream
-from .errors import ConvexaError, DisconnectedError, InputError
+from .errors import ConvexaError, DisconnectedError
 from .graph import Graph, biconnected_edge_blocks, is_clique
 
 
@@ -35,8 +35,7 @@ class TieBreak(Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class SkeletonResult:
+class SkeletonResult(NamedTuple):
     kept: frozenset  # edge positions in the source graph
     removed: tuple  # ordered ((u_id, v_id), objective value after removal)
 
@@ -243,29 +242,16 @@ def extract_convex_skeleton(
     )
 
 
-def _check_match(g, sk):
-    if len(sk.kept) + len(sk.removed) != g.m:
-        raise InputError("skeleton does not match this graph")
-    for p in sk.kept:
-        if not 0 <= p < g.m:
-            raise InputError("skeleton does not match this graph")
+def remainder(g: Graph, kept) -> Graph:
+    """Original nodes with exactly the edges not in the skeleton's edge
+    positions `kept` (original weights)."""
+    return g.subgraph_with_edges(set(range(g.m)) - g.edge_set(kept))
 
 
-def skeleton_graph(g: Graph, sk: SkeletonResult) -> Graph:
-    _check_match(g, sk)
-    return g.subgraph_with_edges(sk.kept)
-
-
-def remainder(g: Graph, sk: SkeletonResult) -> Graph:
-    """Original nodes with exactly the removed edges (original weights)."""
-    _check_match(g, sk)
-    return g.subgraph_with_edges(set(range(g.m)) - sk.kept)
-
-
-def retained_weight_fraction(g: Graph, sk: SkeletonResult):
-    """(kept-edge fraction, kept-weight fraction)."""
-    _check_match(g, sk)
+def retained_weight_fraction(g: Graph, kept):
+    """(kept-edge fraction, kept-weight fraction) of the edge positions
+    `kept`."""
+    kept = sorted(g.edge_set(kept))
     if g.m == 0:
         raise ConvexaError("graph has no edges")
-    kept = sorted(sk.kept)
     return len(kept) / g.m, float(g.weights[kept].sum()) / g.total_weight

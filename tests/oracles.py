@@ -513,14 +513,14 @@ def maximum_spanning_tree_loop(g, order):
     return frozenset(chosen)
 
 
-def distribution_report_subgraphs(g, sk, expr, authors, binning):
+def distribution_report_subgraphs(g, kept, expr, authors, binning):
     """`coauthor.distribution_report` as it was first written: one pass over
     the skeleton subgraph and one over the remainder subgraph.  Returns
     (bins, skeleton weights, remainder weights, missing skeleton, missing
     remainder)."""
-    from convexa import MISSING, edge_attribute, remainder, skeleton_graph
+    from convexa import MISSING, edge_attribute, remainder
 
-    parts = {"sk": skeleton_graph(g, sk), "re": remainder(g, sk)}
+    parts = {"sk": g.subgraph_with_edges(kept), "re": remainder(g, kept)}
     acc = {"sk": {}, "re": {}}
     miss = {"sk": 0.0, "re": 0.0}
     for tag, sub in parts.items():

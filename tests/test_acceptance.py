@@ -72,7 +72,7 @@ def test_criterion_3_skeleton_structural_contract():
         p = min(1.0, 3.0 / n + float(rng.random()) * 0.2)
         g = random_graph(rng, n, p, connected=True)
         sk = cx.extract_convex_skeleton(g)
-        sub = cx.skeleton_graph(g, sk)
+        sub = g.subgraph_with_edges(sk.kept)
         assert sub.n == g.n and sub.connected
         assert cx.is_tree_of_cliques(sub)
         assert cx.convexity(sub, runs=100, seed=i).x == 1.0
@@ -167,7 +167,7 @@ def test_criterion_7_counting_scheme_conservation():
     sk = cx.extract_convex_skeleton(g)
     authors = {v: {"year": int(rng.integers(1950, 2010))} for v in g.ids}
     rep = cx.distribution_report(
-        g, sk, cx.AttrExpr("ABS_DIFF", "year"), authors, cx.Binning(width=5)
+        g, sk.kept, cx.AttrExpr("ABS_DIFF", "year"), authors, cx.Binning(width=5)
     )
     total = (
         sum(rep.skeleton_weight) + sum(rep.remainder_weight)

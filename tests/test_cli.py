@@ -124,6 +124,17 @@ def test_compare_cycle_undefined_correlations_are_na(workdir):
         assert all(line.endswith(",NA,NA") for line in lines[1:])
 
 
+def test_compare_refuses_a_repeated_backbone_kind(workdir):
+    # one column and one grid per kind: a kind listed twice is refused
+    # before anything is written
+    d = workdir / "cmp_twice"
+    r = run("compare", "--input", str(workdir / "tree.tsv"), "--runs", "5",
+            "--backbones", "skeleton,mst,skeleton", "--output-dir", str(d))
+    assert r.returncode == 3
+    assert "'skeleton' more than once" in r.stderr
+    assert not d.exists()
+
+
 def test_compare_failure_writes_nothing(workdir, monkeypatch, capsys):
     # every text is computed before the output directory is made
     from convexa import ConvexaError, cli
@@ -551,6 +562,28 @@ def test_distributions_category_labels_are_formatted(workdir):
         texts.append(out.read_text())
     head = "category,skeleton_weight,remainder_weight\n"
     assert texts == [head + "5,1,0\n10,1,0\n19.5,1,0\n", head + "False,2,0\nTrue,1,0\n"]
+
+
+def test_distributions_of_a_skeleton_file_match_extracting_it(workdir):
+    # `skeleton --output SK` then `distributions --skeleton SK` bins as
+    # `distributions` extracting the same skeleton itself
+    net = workdir / "diamond.tsv"
+    net.write_text("a\tb\t2\na\td\nb\tc\nb\td\t3\nc\td\n")
+    sk = workdir / "diamond_sk.tsv"
+    skel = ["--objective", "average_local", "--tie-break", "random"]
+    r = run("skeleton", "--input", str(net), "--runs", "5", "--seed", "3", *skel,
+            "--output", str(sk))
+    assert r.returncode == 0, r.stderr
+    common = ["--input", str(net), "--authors", str(workdir / "authors.csv"),
+              "--expr", "ABS_DIFF(birth_year)", "--bin-width", "10"]
+    from_file, extracted = workdir / "dist_file.csv", workdir / "dist_extracted.csv"
+    r = run("distributions", *common, "--skeleton", str(sk), "--output", str(from_file))
+    assert r.returncode == 0, r.stderr
+    r = run("distributions", *common, "--seed", "3", *skel, "--output", str(extracted))
+    assert r.returncode == 0, r.stderr
+    assert from_file.read_bytes() == extracted.read_bytes()
+    rows = list(csv.reader(from_file.read_text().splitlines()))[1:]
+    assert any(float(row[3]) for row in rows)  # the remainder is not empty
 
 
 def test_distributions_rejects_skeleton_listing_an_edge_twice(workdir):

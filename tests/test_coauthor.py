@@ -11,7 +11,6 @@ from convexa import (
     CountingScheme,
     InputError,
     PaperRecord,
-    academic_birth_year,
     build_coauthorship,
     build_graph,
     distribution_report,
@@ -87,19 +86,6 @@ def test_full_equals_fractional_on_two_author_corpus():
     assert (a.weights == b.weights).all()
 
 
-def test_academic_birth_year():
-    papers = [
-        paper("p1", "ab", year=2003),
-        paper("p2", "a", year=1995),
-        paper("p3", "c"),
-    ]
-    assert academic_birth_year(papers, "a") == 1995
-    assert academic_birth_year(papers, "b") == 2003
-    assert academic_birth_year([paper("q", "d", year=2010)], "d") == 2010
-    assert academic_birth_year(papers, "c") is MISSING
-    assert academic_birth_year(papers, "ghost") is MISSING
-
-
 AUTHORS = {
     "a": {"birth_year": 1960, "gender": "F", "points": 800},
     "b": {"birth_year": 1980, "gender": "F", "points": 1000},
@@ -123,9 +109,14 @@ def test_edge_attribute_derivations():
 
 def test_parse_expr_forms():
     assert parse_expr("ABS_DIFF(birth_year)") == AttrExpr("ABS_DIFF", "birth_year")
-    assert parse_expr("same:gender") == AttrExpr("SAME", "gender")
+    assert parse_expr(" same( gender ) ") == AttrExpr("SAME", "gender")
     with pytest.raises(InputError):
         parse_expr("FROB(x)")
+
+
+def test_parse_expr_refuses_the_colon_form():
+    with pytest.raises(InputError, match="cannot parse"):
+        parse_expr("SAME:gender")
 
 
 def _toy_graph_and_skeleton():
@@ -140,17 +131,25 @@ def test_distribution_skeleton_only():
     tree = build_graph([("a", "b"), ("b", "c")])
     sk = extract_convex_skeleton(tree)
     rep = distribution_report(
-        tree, sk, AttrExpr("ABS_DIFF", "birth_year"), AUTHORS, Binning(width=10)
+        tree, sk.kept, AttrExpr("ABS_DIFF", "birth_year"), AUTHORS, Binning(width=10)
     )
     assert sum(rep.remainder_weight) == 0.0
     assert sum(rep.skeleton_weight) == tree.total_weight
+
+
+def test_distribution_refuses_a_skeleton_result():
+    # the whole (kept, removed) pair is no edge set: refused, not binned
+    g, sk = _toy_graph_and_skeleton()
+    authors = {v: {"birth_year": 1950} for v in g.ids}
+    with pytest.raises(InputError):
+        distribution_report(g, sk, AttrExpr("ABS_DIFF", "birth_year"), authors, Binning(width=5))
 
 
 def test_distribution_conservation_bin_by_bin():
     g, sk = _toy_graph_and_skeleton()
     authors = {v: {"birth_year": 1950 + 7 * i} for i, v in enumerate(g.ids)}
     rep = distribution_report(
-        g, sk, AttrExpr("ABS_DIFF", "birth_year"), authors, Binning(width=5)
+        g, sk.kept, AttrExpr("ABS_DIFF", "birth_year"), authors, Binning(width=5)
     )
     total = (
         sum(rep.skeleton_weight)
@@ -177,7 +176,7 @@ def test_distribution_hand_computed_bins():
     g = build_graph([("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 4.0)])
     sk = extract_convex_skeleton(g)  # triangle: already a clique, nothing removed
     authors = {"a": {"y": 0}, "b": {"y": 10}, "c": {"y": 25}}
-    rep = distribution_report(g, sk, AttrExpr("ABS_DIFF", "y"), authors, Binning(width=10))
+    rep = distribution_report(g, sk.kept, AttrExpr("ABS_DIFF", "y"), authors, Binning(width=10))
     # |0-10|=10 -> bin 1 (w 1), |10-25|=15 -> bin 1 (w 2), |0-25|=25 -> bin 2 (w 4)
     assert rep.bins == ((10.0, 20.0), (20.0, 30.0))
     assert rep.skeleton_weight == (3.0, 4.0)
@@ -187,7 +186,7 @@ def test_distribution_hand_computed_bins():
 def test_distribution_missing_bin():
     g, sk = _toy_graph_and_skeleton()
     authors = {v: ({"points": 5} if v in "ab" else {}) for v in g.ids}
-    rep = distribution_report(g, sk, AttrExpr("MEAN", "points"), authors, Binning(width=1))
+    rep = distribution_report(g, sk.kept, AttrExpr("MEAN", "points"), authors, Binning(width=1))
     assert rep.missing_skeleton + rep.missing_remainder > 0
     total = (
         sum(rep.skeleton_weight)
@@ -217,10 +216,10 @@ def test_distribution_matches_the_subgraph_passes_bit_for_bit():
             (AttrExpr("MEAN", "y"), Binning(width=3.0, origin=1.5)),
             (AttrExpr("SAME", "g"), Binning()),
         ):
-            rep = distribution_report(g, sk, expr, authors, binning)
+            rep = distribution_report(g, sk.kept, expr, authors, binning)
             got = (rep.bins, rep.skeleton_weight, rep.remainder_weight,
                    rep.missing_skeleton, rep.missing_remainder)
-            assert got == distribution_report_subgraphs(g, sk, expr, authors, binning)
+            assert got == distribution_report_subgraphs(g, sk.kept, expr, authors, binning)
 
 
 def test_filter_years():

@@ -121,6 +121,13 @@ def test_convexity_tree_exact_one():
     assert convexity(tree, runs=50, seed=0).x == 1.0
 
 
+def test_convexity_score_unpacks_as_x_and_profile():
+    score = convexity(build_graph(C4), runs=10, seed=1)
+    x, profile = score
+    assert x == score.x == 0.75
+    assert profile is score.profile and len(profile) == 4
+
+
 def test_convexity_clique_exact_one():
     assert convexity(build_graph(K4), runs=50, seed=9).x == 1.0
 

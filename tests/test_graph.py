@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -167,6 +168,23 @@ def _flagged_lines(g, flags):
     buf = io.StringIO()
     write_edge_tsv(g, buf, flags=flags, flag_name="in_skeleton")
     return buf.getvalue().splitlines(keepends=True)
+
+
+def test_edge_sets_hold_only_the_graphs_positions():
+    g = build_graph([("a", "b"), ("b", "c"), ("a", "c")])
+    assert g.edge_set(range(g.m)) == frozenset({0, 1, 2})
+    assert g.edge_set(np.array([2, 0], np.int32)) == frozenset({0, 2})
+    assert g.edge_set(()) == frozenset()
+    # -1 would pick the last edge and m would raise IndexError as an index
+    for bad in ({-1}, {g.m}, {1.5}, {True}, {"0"}, {(0, 1)}):
+        with pytest.raises(InputError):
+            g.edge_set(bad)
+        with pytest.raises(InputError):
+            g.subgraph_with_edges(bad)
+        buf = io.StringIO()
+        with pytest.raises(InputError):
+            write_edge_tsv(g, buf, flags=bad)
+        assert buf.getvalue() == ""
 
 
 def test_flagged_tsv_round_trip(tmp_path):

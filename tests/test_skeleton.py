@@ -16,7 +16,6 @@ from convexa import (
     is_tree_of_cliques,
     remainder,
     retained_weight_fraction,
-    skeleton_graph,
 )
 from convexa.graph import biconnected_edge_blocks
 from convexa.skeleton import _LiveGraph
@@ -63,34 +62,51 @@ def test_remainder_partition():
         extract_convex_skeleton(g)
     g = build_graph(DIAMOND)
     sk = extract_convex_skeleton(g)
-    rem = remainder(g, sk)
+    rem = remainder(g, sk.kept)
     assert rem.m == 1
     assert rem.ids == g.ids
     assert len(sk.kept) + rem.m == g.m
     tree = build_graph([("a", "b"), ("b", "c")])
-    assert remainder(tree, extract_convex_skeleton(tree)).m == 0
+    assert remainder(tree, extract_convex_skeleton(tree).kept).m == 0
 
 
 def test_remainder_rejects_foreign_skeleton():
-    g = build_graph(DIAMOND)
-    other = build_graph([("a", "b"), ("b", "c")])
-    sk = extract_convex_skeleton(other)
+    # the skeleton of a larger graph holds edge positions past g.m - 1
+    g = build_graph([("a", "b"), ("b", "c")])
+    kept = extract_convex_skeleton(build_graph(DIAMOND)).kept
+    assert max(kept) >= g.m
     with pytest.raises(InputError):
-        remainder(g, sk)
+        remainder(g, kept)
+    with pytest.raises(InputError):
+        retained_weight_fraction(g, kept)
+
+
+def test_skeleton_result_is_no_edge_set():
+    # the whole (kept, removed) pair, passed where its edge set belongs
+    for g in (build_graph(DIAMOND), build_graph([("a", "b"), ("b", "c")])):
+        sk = extract_convex_skeleton(g)
+        kept, removed = sk
+        assert (kept, removed) == (sk.kept, sk.removed)
+        with pytest.raises(InputError):
+            remainder(g, sk)
+        with pytest.raises(InputError):
+            retained_weight_fraction(g, sk)
+        with pytest.raises(InputError):
+            g.subgraph_with_edges(sk)
 
 
 def test_retained_fractions_unweighted():
     tree = build_graph([("a", "b"), ("b", "c")])
-    assert retained_weight_fraction(tree, extract_convex_skeleton(tree)) == (1.0, 1.0)
+    assert retained_weight_fraction(tree, extract_convex_skeleton(tree).kept) == (1.0, 1.0)
     g = build_graph(DIAMOND)
-    assert retained_weight_fraction(g, extract_convex_skeleton(g)) == (0.8, 0.8)
+    assert retained_weight_fraction(g, extract_convex_skeleton(g).kept) == (0.8, 0.8)
 
 
 def test_retained_fractions_weighted_chord():
     # chord carries weight 10; extraction still drops a unit cycle edge
     recs = [(u, v, 10.0 if (u, v) == ("b", "d") else 1.0) for u, v in DIAMOND]
     g = build_graph(recs)
-    ef, wf = retained_weight_fraction(g, extract_convex_skeleton(g))
+    ef, wf = retained_weight_fraction(g, extract_convex_skeleton(g).kept)
     assert ef == 0.8
     assert wf == pytest.approx(13.0 / 14.0)
 
@@ -100,7 +116,7 @@ def test_structural_invariants_random_graphs():
     for _ in range(30):
         g = random_graph(rng, int(rng.integers(4, 25)), 0.25, connected=True)
         sk = extract_convex_skeleton(g)
-        sub = skeleton_graph(g, sk)
+        sub = g.subgraph_with_edges(sk.kept)
         assert sub.connected
         assert is_tree_of_cliques(sub)
         assert g.n - 1 <= len(sk.kept) <= g.m
@@ -142,7 +158,7 @@ def test_random_tie_break_reproducible_and_valid():
     a = extract_convex_skeleton(g, tie_break=TieBreak.RANDOM, seed=5)
     b = extract_convex_skeleton(g, tie_break=TieBreak.RANDOM, seed=5)
     assert a.kept == b.kept
-    sub = skeleton_graph(g, a)
+    sub = g.subgraph_with_edges(a.kept)
     assert sub.connected and is_tree_of_cliques(sub)
 
 
@@ -151,7 +167,7 @@ def test_average_local_objective():
     for _ in range(10):
         g = random_graph(rng, 12, 0.35, connected=True)
         sk = extract_convex_skeleton(g, objective=Objective.AVERAGE_LOCAL)
-        sub = skeleton_graph(g, sk)
+        sub = g.subgraph_with_edges(sk.kept)
         assert sub.connected and is_tree_of_cliques(sub)
 
 

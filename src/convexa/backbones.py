@@ -6,21 +6,12 @@ graph); the top-m variants may be disconnected (their %LCC is part of the
 reported stats).
 """
 
-from enum import Enum
-
 import numpy as np
 
 from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
 from .graph import Graph, find
-from .skeleton import TieBreak
-
-
-class BackboneKind(Enum):
-    MAX_SPANNING_TREE = "mst"
-    HIGH_BETWEENNESS = "betweenness"
-    HIGH_EMBEDDEDNESS = "embeddedness"
-    CONVEX_SKELETON = "skeleton"
+from .kinds import BackboneKind, TieBreak
 
 
 def maximum_spanning_tree(

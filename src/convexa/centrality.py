@@ -7,12 +7,11 @@ corrected form, which reduces to classical closeness on connected graphs.
 Each measure is a {node id: float} dict.
 """
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import ConvergenceError, ConvexaError
 from .graph import Graph
+from .kinds import Measure
 
 
 #: PageRank's damping (Brin and Page, Computer Networks 1998); an iterate's L1
@@ -20,13 +19,6 @@ from .graph import Graph
 DAMPING = 0.85
 TOL = 1e-10
 MAX_ITER = 1000
-
-
-class Measure(Enum):
-    DEGREE = "degree"
-    PAGERANK = "pagerank"
-    BETWEENNESS = "betweenness"
-    CLOSENESS = "closeness"
 
 
 def degree_centrality(g: Graph) -> dict:

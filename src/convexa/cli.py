@@ -17,41 +17,14 @@ import sys
 import tempfile
 from dataclasses import asdict, fields
 
-from . import __version__
-from .backbones import (
-    BackboneKind,
-    edge_betweenness,
-    embeddedness_scores,
-    maximum_spanning_tree,
-    top_m_edge_backbone,
-)
-from .centrality import Measure, compute, top_k
-from .coauthor import (
-    Binning,
-    CountingScheme,
-    build_coauthorship,
-    distribution_report,
-    filter_years,
-    parse_expr,
-    read_authors_csv,
-    read_papers_csv,
-)
-from .convexity import convexity
+# The package registers its submodules lazily: `from . import skeleton`
+# binds a module that is loaded on its first attribute access, so a run
+# loads only the modules its subcommand calls.  The package's name
+# `convexity` is the function; cmd_convexity imports it from its module.
+from . import __version__, backbones, centrality, coauthor, netstats, skeleton, synth
 from .errors import ConvergenceError, ConvexaError, InputError
 from .graph import format_weight, read_edge_flags, read_edge_tsv, write_edge_tsv
-from .netstats import (
-    StatsRecord,
-    centrality_values,
-    correlation_matrix,
-    descriptive_stats,
-)
-from .skeleton import (
-    Objective,
-    TieBreak,
-    extract_convex_skeleton,
-    retained_weight_fraction,
-)
-from .synth import RANDOM_KINDS, Kind, generate
+from .kinds import RANDOM_KINDS, BackboneKind, CountingScheme, Kind, Measure, Objective, TieBreak
 
 DEFAULT_SEED = 42
 
@@ -172,7 +145,9 @@ def _resolve_seed(args, used=True):
 def _stat_rows(records):
     """One CSV row per StatsRecord field, in field order: the field's name,
     then its value in each record."""
-    return [[f.name, *(fmt(getattr(r, f.name)) for r in records)] for f in fields(StatsRecord)]
+    return [
+        [f.name, *(fmt(getattr(r, f.name)) for r in records)] for f in fields(netstats.StatsRecord)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +163,8 @@ def _read_graph(path):
 
 
 def cmd_convexity(args):
+    from .convexity import convexity
+
     g = _read_graph(args.input)
     seed = _resolve_seed(args)
     score = convexity(g, runs=args.runs, seed=seed)
@@ -226,7 +203,7 @@ def _skeleton_flags(args, objective, tie_break):
 
 
 def _skeleton_of(g, args, seed):
-    return extract_convex_skeleton(
+    return skeleton.extract_convex_skeleton(
         g,
         objective=Objective(args.objective),
         tie_break=TieBreak(args.tie_break),
@@ -239,10 +216,12 @@ def cmd_skeleton(args):
     seed = _resolve_seed(args)
     _skeleton_flags(args, objective=True, tie_break=True)
     sk = _skeleton_of(g, args, seed)
-    ef, wf = retained_weight_fraction(g, sk.kept)
+    ef, wf = skeleton.retained_weight_fraction(g, sk.kept)
     buf = io.StringIO()
     write_edge_tsv(g, buf, flags=sk.kept, flag_name="in_skeleton")
-    stats = descriptive_stats(g.subgraph_with_edges(sk.kept), convexity_runs=args.runs, seed=seed)
+    stats = netstats.descriptive_stats(
+        g.subgraph_with_edges(sk.kept), convexity_runs=args.runs, seed=seed
+    )
     config = {
         "input": args.input,
         "objective": args.objective,
@@ -276,23 +255,23 @@ def cmd_skeleton(args):
     return 0
 
 
-def _make_backbone(g, kind, args, seed, skeleton=None):
+def _make_backbone(g, kind, args, seed, kept=None):
     """The edge positions of g's `kind` backbone.  The top-m kinds keep --m
     edges, by default as many as the convex skeleton, whose edge positions
-    `skeleton` are extracted here when they are needed and not given."""
+    `kept` are extracted here when they are needed and not given."""
     tie_break = TieBreak(args.tie_break)
     if kind is BackboneKind.MAX_SPANNING_TREE:
-        return maximum_spanning_tree(g, tie_break=tie_break, seed=seed)
-    if skeleton is None and (kind is BackboneKind.CONVEX_SKELETON or args.m is None):
-        skeleton = _skeleton_of(g, args, seed).kept
+        return backbones.maximum_spanning_tree(g, tie_break=tie_break, seed=seed)
+    if kept is None and (kind is BackboneKind.CONVEX_SKELETON or args.m is None):
+        kept = _skeleton_of(g, args, seed).kept
     if kind is BackboneKind.CONVEX_SKELETON:
-        return skeleton
-    m = len(skeleton) if args.m is None else args.m
+        return kept
+    m = len(kept) if args.m is None else args.m
     if kind is BackboneKind.HIGH_BETWEENNESS:
-        scores = edge_betweenness(g)
+        scores = backbones.edge_betweenness(g)
     else:
-        scores = embeddedness_scores(g)
-    return top_m_edge_backbone(g, scores, m, tie_break=tie_break, seed=seed)
+        scores = backbones.embeddedness_scores(g)
+    return backbones.top_m_edge_backbone(g, scores, m, tie_break=tie_break, seed=seed)
 
 
 def cmd_backbone(args):
@@ -340,19 +319,19 @@ def cmd_compare(args):
     # keep as many edges as the skeleton)
     extracts = bool(set(kinds) - {BackboneKind.MAX_SPANNING_TREE.value})
     _skeleton_flags(args, objective=extracts, tie_break=bool(kinds))
-    skeleton = _skeleton_of(g, args, seed).kept if extracts else None
-    columns = {"network": descriptive_stats(g, convexity_runs=args.runs, seed=seed)}
-    backbones = {}  # name -> its graph, one object for its stats and centralities
+    kept = _skeleton_of(g, args, seed).kept if extracts else None
+    columns = {"network": netstats.descriptive_stats(g, convexity_runs=args.runs, seed=seed)}
+    graphs = {}  # backbone name -> its graph, one object for its stats and centralities
     for name in kinds:
-        sub = g.subgraph_with_edges(_make_backbone(g, BackboneKind(name), args, seed, skeleton))
-        backbones[name] = sub
-        columns[name] = descriptive_stats(sub, convexity_runs=args.runs, seed=seed)
+        sub = g.subgraph_with_edges(_make_backbone(g, BackboneKind(name), args, seed, kept))
+        graphs[name] = sub
+        columns[name] = netstats.descriptive_stats(sub, convexity_runs=args.runs, seed=seed)
     rows = [["statistic", *columns], *_stat_rows(columns.values())]
     # every file's text is ready before the first write: all or nothing
     texts = {"stats.csv": csv_text(rows)}
-    full = centrality_values(g) if backbones else None
-    for name, sub in backbones.items():
-        grid = correlation_matrix(full, centrality_values(sub))
+    full = netstats.centrality_values(g) if graphs else None
+    for name, sub in graphs.items():
+        grid = netstats.correlation_matrix(full, netstats.centrality_values(sub))
         rows = [["row_measure", "col_measure", "rho", "tau"]]
         for rm, row in zip(Measure, grid):
             for cm, (rho, tau) in zip(Measure, row):
@@ -369,14 +348,14 @@ def cmd_compare(args):
     os.makedirs(args.output_dir, exist_ok=True)
     paths = {os.path.join(args.output_dir, name): text for name, text in texts.items()}
     write_files(with_meta(paths, args, config))
-    print(f"compare: wrote stats.csv and {len(backbones)} correlation file(s) to {args.output_dir}")
+    print(f"compare: wrote stats.csv and {len(graphs)} correlation file(s) to {args.output_dir}")
     return 0
 
 
 def cmd_centrality(args):
     g = _read_graph(args.input)
     measures = list(Measure) if args.measure == "all" else [Measure(args.measure)]
-    vecs = {m: compute(g, m) for m in measures}
+    vecs = {m: centrality.compute(g, m) for m in measures}
     rows = [["node"] + [m.value for m in measures]]
     for node in g.ids:
         rows.append([node] + [fmt(vecs[m][node]) for m in measures])
@@ -392,7 +371,7 @@ def cmd_centrality(args):
 
 def cmd_rank(args):
     g = _read_graph(args.input)
-    ranked = top_k(compute(g, Measure(args.measure)), args.top)
+    ranked = centrality.top_k(centrality.compute(g, Measure(args.measure)), args.top)
     rows = [["rank", "node", "value"]]
     for i, (node, value) in enumerate(ranked, 1):
         rows.append([i, node, fmt(value)])
@@ -407,9 +386,9 @@ def cmd_rank(args):
 
 
 def cmd_buildnet(args):
-    papers = read_papers_csv(args.papers, args.paper_meta)
-    papers = filter_years(papers, args.year_min, args.year_max)
-    g = build_coauthorship(papers, CountingScheme(args.scheme))
+    papers = coauthor.read_papers_csv(args.papers, args.paper_meta)
+    papers = coauthor.filter_years(papers, args.year_min, args.year_max)
+    g = coauthor.build_coauthorship(papers, CountingScheme(args.scheme))
     buf = io.StringIO()
     write_edge_tsv(g, buf)
     # authors with solo papers only have no edge, so the TSV cannot hold them
@@ -446,7 +425,7 @@ def cmd_distributions(args):
     g = _read_graph(args.input)
     # a skeleton read from a file draws no random numbers
     seed = _resolve_seed(args, used=not args.skeleton)
-    expr = parse_expr(args.expr)
+    expr = coauthor.parse_expr(args.expr)
     # refuse a bin flag the run would ignore; without numeric bins bin_origin stays null
     numeric = args.bin_width is not None
     if args.bin_origin is not None and not numeric:
@@ -455,14 +434,14 @@ def cmd_distributions(args):
         raise InputError(f"--bin-width would be ignored: {expr} bins by category")
     if numeric and args.bin_origin is None:
         args.bin_origin = 0.0
-    binning = Binning(args.bin_width, args.bin_origin) if numeric else Binning()
+    binning = coauthor.Binning(args.bin_width, args.bin_origin) if numeric else coauthor.Binning()
     _skeleton_flags(args, objective=not args.skeleton, tie_break=not args.skeleton)
     if args.skeleton:
         kept = read_edge_flags(g, args.skeleton)
     else:
         kept = _skeleton_of(g, args, seed).kept
-    authors = read_authors_csv(args.authors)
-    rep = distribution_report(g, kept, expr, authors, binning)
+    authors = coauthor.read_authors_csv(args.authors)
+    rep = coauthor.distribution_report(g, kept, expr, authors, binning)
     head = ["bin_low", "bin_high"] if numeric else ["category"]
     rows = [[*head, "skeleton_weight", "remainder_weight"]]
     for label, sw, rw in zip(rep.bins, rep.skeleton_weight, rep.remainder_weight):
@@ -507,7 +486,7 @@ def cmd_generate(args):
             params[key] = val
     if args.p is not None:
         params["p"] = args.p
-    g = generate(kind, params, 0 if seed is None else seed)
+    g = synth.generate(kind, params, 0 if seed is None else seed)
     buf = io.StringIO()
     write_edge_tsv(g, buf)
     config = {"kind": args.kind, "params": params, "seed": seed}
@@ -524,7 +503,7 @@ def cmd_generate(args):
 def cmd_stats(args):
     g = _read_graph(args.input)
     seed = _resolve_seed(args)
-    s = descriptive_stats(g, convexity_runs=args.runs, seed=seed)
+    s = netstats.descriptive_stats(g, convexity_runs=args.runs, seed=seed)
     rows = [["statistic", "value"], *_stat_rows([s])]
     config = {"input": args.input, "runs": args.runs, "seed": seed}
     emit(args, config, csv_text(rows), lambda: asdict(s))

@@ -9,19 +9,13 @@ distribution machinery.
 import csv
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import ConvexaError, InputError
 from .graph import Graph, build_graph, open_text
+from .kinds import CountingScheme
 
 #: marker for attribute values that cannot be derived
 MISSING = None
-
-
-class CountingScheme(Enum):
-    FULL = "full"
-    FRACTIONAL = "fractional"
-    PARTIAL = "partial"
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ expressions over the node and edge arrays.  The values, and hence the
 removal log, are bit-identical to evaluating every live graph from scratch.
 """
 
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -23,16 +22,7 @@ import numpy as np
 from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError
 from .graph import Graph, biconnected_edge_blocks, is_clique
-
-
-class Objective(Enum):
-    GLOBAL_TRANSITIVITY = "transitivity"
-    AVERAGE_LOCAL = "average_local"
-
-
-class TieBreak(Enum):
-    LEX_SMALLEST = "lex"
-    RANDOM = "random"
+from .kinds import Objective, TieBreak
 
 
 class SkeletonResult(NamedTuple):

@@ -1,21 +1,10 @@
 """Deterministic synthetic graph generators for tests and demos."""
 
-from enum import Enum
-
 import numpy as np
 
 from .errors import ConvexaError
 from .graph import Graph, build_graph
-
-
-class Kind(Enum):
-    ER_RANDOM = "er_random"
-    TREE_OF_CLIQUES = "tree_of_cliques"
-    TRIANGULAR_LATTICE = "triangular_lattice"
-    PATH = "path"
-    CYCLE = "cycle"
-    COMPLETE = "complete"
-    STAR = "star"
+from .kinds import RANDOM_KINDS, Kind
 
 
 #: the parameters each kind reads; the others read only n
@@ -25,8 +14,6 @@ _PARAMS = {
     Kind.TRIANGULAR_LATTICE: {"rows", "cols"},
 }
 
-#: the kinds that draw random numbers from `generate`'s seed
-RANDOM_KINDS = frozenset({Kind.ER_RANDOM, Kind.TREE_OF_CLIQUES})
 #: the draws `connected_er` makes before it gives up
 MAX_TRIES = 1000
 

@@ -137,12 +137,12 @@ def test_compare_refuses_a_repeated_backbone_kind(workdir):
 
 def test_compare_failure_writes_nothing(workdir, monkeypatch, capsys):
     # every text is computed before the output directory is made
-    from convexa import ConvexaError, cli
+    from convexa import ConvexaError, cli, netstats
 
     def fail(*args, **kwargs):
         raise ConvexaError("correlation failed")
 
-    monkeypatch.setattr(cli, "correlation_matrix", fail)
+    monkeypatch.setattr(netstats, "correlation_matrix", fail)
     d = workdir / "cmp_fail"
     code = cli.main(["compare", "--input", str(workdir / "tree.tsv"), "--runs", "5",
                      "--output-dir", str(d)])
@@ -155,7 +155,7 @@ def test_compare_failure_writes_nothing(workdir, monkeypatch, capsys):
 def test_compare_builds_each_backbone_graph_once(workdir, monkeypatch):
     # descriptive_stats and the correlation grid share one graph object per
     # backbone, and with it its cached distances
-    from convexa import Graph, cli
+    from convexa import Graph, cli, netstats
 
     built = []
 
@@ -166,8 +166,8 @@ def test_compare_builds_each_backbone_graph_once(workdir, monkeypatch):
 
     real = Graph.subgraph_with_edges
     monkeypatch.setattr(Graph, "subgraph_with_edges", counting)
-    valued = mock.Mock(wraps=cli.centrality_values)
-    monkeypatch.setattr(cli, "centrality_values", valued)
+    valued = mock.Mock(wraps=netstats.centrality_values)
+    monkeypatch.setattr(netstats, "centrality_values", valued)
     code = cli.main(["compare", "--input", str(workdir / "toc.tsv"), "--runs", "5",
                      "--backbones", "skeleton,mst,betweenness,embeddedness",
                      "--output-dir", str(workdir / "cmp_once")])

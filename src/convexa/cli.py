@@ -213,15 +213,14 @@ def _skeleton_of(g, args, seed):
 
 def cmd_skeleton(args):
     g = _read_graph(args.input)
-    seed = _resolve_seed(args)
     _skeleton_flags(args, objective=True, tie_break=True)
+    seed = _resolve_seed(args, used=args.tie_break == TieBreak.RANDOM.value)
     sk = _skeleton_of(g, args, seed)
     ef, wf = skeleton.retained_weight_fraction(g, sk.kept)
     buf = io.StringIO()
     write_edge_tsv(g, buf, flags=sk.kept, flag_name="in_skeleton")
-    stats = netstats.descriptive_stats(
-        g.subgraph_with_edges(sk.kept), convexity_runs=args.runs, seed=seed
-    )
+    # a tree of cliques: its convexity is exact, with no Monte Carlo to seed
+    stats = netstats.descriptive_stats(g.subgraph_with_edges(sk.kept), seed=seed)
     config = {
         "input": args.input,
         "objective": args.objective,
@@ -282,8 +281,7 @@ def cmd_backbone(args):
         raise InputError(f"--m sets the edge budget of a top-m kind; {args.kind} takes none")
     # every kind but mst is built from the skeleton, unless --m sets the budget
     _skeleton_flags(args, objective=not mst and args.m is None, tie_break=True)
-    # the lex spanning tree draws no random numbers
-    seed = _resolve_seed(args, used=not mst or args.tie_break == TieBreak.RANDOM.value)
+    seed = _resolve_seed(args, used=args.tie_break == TieBreak.RANDOM.value)
     edges = _make_backbone(g, kind, args, seed)
     buf = io.StringIO()
     flag = "in_skeleton" if kind is BackboneKind.CONVEX_SKELETON else "in_backbone"
@@ -423,8 +421,8 @@ def cmd_buildnet(args):
 
 def cmd_distributions(args):
     g = _read_graph(args.input)
-    # a skeleton read from a file draws no random numbers
-    seed = _resolve_seed(args, used=not args.skeleton)
+    _skeleton_flags(args, objective=not args.skeleton, tie_break=not args.skeleton)
+    seed = _resolve_seed(args, used=args.tie_break == TieBreak.RANDOM.value)
     expr = coauthor.parse_expr(args.expr)
     # refuse a bin flag the run would ignore; without numeric bins bin_origin stays null
     numeric = args.bin_width is not None
@@ -435,7 +433,6 @@ def cmd_distributions(args):
     if numeric and args.bin_origin is None:
         args.bin_origin = 0.0
     binning = coauthor.Binning(args.bin_width, args.bin_origin) if numeric else coauthor.Binning()
-    _skeleton_flags(args, objective=not args.skeleton, tie_break=not args.skeleton)
     if args.skeleton:
         kept = read_edge_flags(g, args.skeleton)
     else:
@@ -542,7 +539,6 @@ def build_parser():
 
     p = sub.add_parser("skeleton", help="extract a convex skeleton")
     p.add_argument("--input", required=True)
-    p.add_argument("--runs", type=int, default=100, help="convexity runs for the stats row")
     p.add_argument("--removal-log", default=None, help="optional removal-log CSV path")
     _add_skeleton_opts(p)
     _add_common(p)

@@ -8,7 +8,6 @@ weights and self-loops are dropped (counted).
 """
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,29 +107,19 @@ class Graph:
         return labels
 
     @cached_property
-    def blocks(self):
-        """Biconnected blocks as tuples of edge positions (see
-        `biconnected_edge_blocks`), decomposed once per graph."""
-        return tuple(map(tuple, biconnected_edge_blocks(self.n, self.edge_idx)))
-
-    @cached_property
     def block_label(self):
-        """Per edge, the position in `blocks` of the block that holds it;
-        int64."""
-        label = np.empty(self.m, np.int64)
-        at = np.fromiter(itertools.chain.from_iterable(self.blocks), np.int64, self.m)
-        label[at] = np.repeat(np.arange(len(self.blocks)), [len(b) for b in self.blocks])
+        """Per edge, the label of its biconnected block (see
+        `biconnected_edge_blocks`), decomposed once per graph; int64,
+        read-only."""
+        label = biconnected_edge_blocks(self.n, self.edge_idx)
+        label.flags.writeable = False
         return label
 
     @cached_property
     def is_tree_of_cliques(self):
         """True iff the graph is connected and each block is a clique (a
-        block graph): a block of k nodes then holds k(k - 1)/2 edges."""
-        if not self.connected:
-            return False
-        nodes = np.bincount(block_members(self)[0], minlength=len(self.blocks))
-        edges = np.bincount(self.block_label, minlength=len(self.blocks))
-        return bool((edges == nodes * (nodes - 1) // 2).all())
+        block graph)."""
+        return self.connected and bool(block_cliques(self.n, self.edge_idx, self.block_label).all())
 
     @cached_property
     def connected(self):
@@ -240,10 +229,10 @@ def component_labels(g):
 
 
 def biconnected_edge_blocks(n, edge_idx):
-    """Blocks (biconnected components) as lists of edge positions.
+    """Per edge, the label of its block (biconnected component): int64,
+    the blocks numbered 0, 1, ... in the order they close.
 
-    Iterative Hopcroft-Tarjan; every edge lands in exactly one block,
-    bridges become singleton blocks.
+    Iterative Hopcroft-Tarjan; a bridge is a block of its own.
     """
     adj = [[] for _ in range(n)]
     for e, (u, v) in enumerate(edge_idx.tolist()):
@@ -251,7 +240,8 @@ def biconnected_edge_blocks(n, edge_idx):
         adj[v].append((u, e))
     disc = [-1] * n
     low = [0] * n
-    blocks = []
+    label = [0] * len(edge_idx)
+    blocks = 0
     estack = []
     clock = 0
     for root in range(n):
@@ -282,26 +272,34 @@ def biconnected_edge_blocks(n, edge_idx):
                 if stack:
                     u = stack[-1][0]
                     if low[v] >= disc[u]:
-                        block = []
                         while True:
                             eid = estack.pop()
-                            block.append(eid)
+                            label[eid] = blocks
                             if eid == parent_eid:
                                 break
-                        blocks.append(block)
+                        blocks += 1
                     if low[v] < low[u]:
                         low[stack[-1][0]] = low[v]
-    return blocks
+    return np.array(label, dtype=np.int64)
 
 
-def block_members(g):
-    """(block, node) pairs, one per node of each block of g, sorted by
-    block and then by node: two int64 arrays."""
+def block_members(n, edge_idx, label):
+    """(block, node) pairs, one per node of each block, sorted by block and
+    then by node: two int64 arrays.  `label` holds the block of each edge
+    of `edge_idx`, whose nodes are 0..n-1."""
     # sorted and deduplicated by hand: np.unique imports numpy.ma
-    keys = np.sort(g.block_label[:, None] * g.n + g.edge_idx, axis=None)
+    keys = np.sort(label[:, None] * n + edge_idx, axis=None)
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return np.divmod(keys[first], g.n)
+    return np.divmod(keys[first], n)
+
+
+def block_cliques(n, edge_idx, label):
+    """Per block, True iff it is a clique: a block of k nodes holds
+    k(k - 1)/2 edges.  Arguments as for `block_members`."""
+    count = int(label.max(initial=-1)) + 1
+    nodes = np.bincount(block_members(n, edge_idx, label)[0], minlength=count)
+    return np.bincount(label, minlength=count) == nodes * (nodes - 1) // 2
 
 
 def block_tree_brandes(g):
@@ -328,9 +326,9 @@ def block_tree_brandes(g):
     integers far below 2**53, so the floats are equal bit for bit.  The
     walk is O(n + m) in Python, over about n + |blocks| incidences.
     """
-    n = g.n
-    blk, node = block_members(g)
-    members = [[] for _ in g.blocks]
+    n, label = g.n, g.block_label
+    blk, node = block_members(n, g.edge_idx, label)
+    members = [[] for _ in range(int(label.max(initial=-1)) + 1)]
     of_node = [[] for _ in range(n)]
     for b, v in zip(blk.tolist(), node.tolist()):
         members[b].append(v)
@@ -361,7 +359,6 @@ def block_tree_brandes(g):
     # the pieces of g - v: the subtrees of the blocks below v and, unless v
     # is node 0, the rest of the graph
     pieces = np.bincount(top, weights=(n - h_top) ** 2, minlength=n) + (n - sub) ** 2
-    label = g.block_label
     u, w = g.edge_idx[:, 0], g.edge_idx[:, 1]
     h_u = np.where(via[u] == label, sub[u], h_top[label])
     h_w = np.where(via[w] == label, sub[w], h_top[label])
@@ -374,13 +371,6 @@ def block_tree_brandes(g):
         np.full(n, n, np.int64),
         np.array(dist_sum, np.int64),
     )
-
-
-def is_clique(edge_idx, block):
-    """True iff the edges at positions `block` of `edge_idx` are every pair
-    of the nodes they touch."""
-    k = len(set(edge_idx[np.asarray(block)].ravel().tolist()))
-    return len(block) == k * (k - 1) // 2
 
 
 # ---------------------------------------------------------------------------

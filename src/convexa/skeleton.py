@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError
-from .graph import Graph, biconnected_edge_blocks, is_clique
+from .graph import Graph, biconnected_edge_blocks, block_cliques
 from .kinds import Objective, TieBreak
 
 
@@ -69,8 +69,7 @@ class _LiveGraph:
         self.members = {}
         self.nonclique = set()
         self._next_label = 0
-        # the graph is connected, so its own blocks need no renumbering
-        self._label_blocks(np.asarray(blk, dtype=np.int64) for blk in g.blocks)
+        self._label_blocks(np.arange(m), n, g.edge_idx, g.block_label)
 
     def _weight_sum(self, e, inv):
         # summed in ascending w, the order of a merge over sorted CSR rows
@@ -87,20 +86,24 @@ class _LiveGraph:
         ends = self.edge_idx[edges]
         seen = np.zeros(self.n, dtype=bool)
         seen[ends] = True
+        k = int(seen.sum())
         local = (np.cumsum(seen) - 1)[ends]
-        blocks = biconnected_edge_blocks(int(seen.sum()), local)
-        self._label_blocks(edges[blk] for blk in blocks)
+        self._label_blocks(edges, k, local, biconnected_edge_blocks(k, local))
 
-    def _label_blocks(self, blocks):
-        """Give each block, an array of edge positions, a fresh label."""
-        for pos in blocks:
-            label = self._next_label
-            self._next_label += 1
-            self.block[pos] = label
-            self.members[label] = pos
-            self.bridge[pos] = len(pos) == 1
-            if not is_clique(self.edge_idx, pos):
-                self.nonclique.add(label)
+    def _label_blocks(self, edges, n, ends, label):
+        """Give each block of `edges` a fresh label: `label` numbers the
+        blocks 0, 1, ... per edge, and `ends` holds the edges' end nodes
+        among 0..n-1."""
+        clique = block_cliques(n, ends, label)
+        sizes = np.bincount(label, minlength=clique.size)
+        first = self._next_label
+        self._next_label += clique.size
+        self.block[edges] = first + label
+        self.bridge[edges] = sizes[label] == 1
+        pieces = np.split(edges[np.argsort(label, kind="stable")], np.cumsum(sizes)[:-1])
+        # copied: a view would keep all of `edges` alive while any piece lives
+        self.members.update(zip(range(first, self._next_label), map(np.copy, pieces)))
+        self.nonclique.update((first + np.flatnonzero(~clique)).tolist())
 
     def objective_after_removal(self):
         """Objective value after removing each edge; -inf on dead edges and

@@ -214,10 +214,13 @@ def blocks_info(n, edge_idx, alive_pos):
     from convexa.graph import biconnected_edge_blocks
 
     sub = edge_idx[alive_pos]
-    blocks = biconnected_edge_blocks(n, sub)
+    label = biconnected_edge_blocks(n, sub).tolist()
+    blocks = {}
+    for e, b in enumerate(label):
+        blocks.setdefault(b, []).append(e)
     bridge = set()
     all_cliques = True
-    for blk in blocks:
+    for blk in blocks.values():
         if len(blk) == 1:
             bridge.add(int(alive_pos[blk[0]]))
             continue
@@ -446,6 +449,46 @@ def component_labels_loop(g):
     return np.array([find(i) for i in range(g.n)])
 
 
+def block_partition_oracle(g):
+    """The blocks of g as a set of frozensets of edge positions, by brute
+    force: two edges share a block iff no single node separates them.  For
+    each node x, an edge maps to the component of g - x that holds its end
+    other than x (either end, when x is neither); two edges share a block
+    iff they map alike for every x."""
+    adj = [[] for _ in range(g.n)]
+    ends = g.edge_idx.tolist()
+    for u, v in ends:
+        adj[u].append(v)
+        adj[v].append(u)
+    signature = [[] for _ in ends]
+    for x in range(g.n):
+        comp = [-1] * g.n
+        for s in range(g.n):
+            if s == x or comp[s] != -1:
+                continue
+            comp[s] = s
+            stack = [s]
+            while stack:
+                for b in adj[stack.pop()]:
+                    if b != x and comp[b] == -1:
+                        comp[b] = s
+                        stack.append(b)
+        for sig, (u, v) in zip(signature, ends):
+            sig.append(comp[v if u == x else u])
+    blocks = {}
+    for e, sig in enumerate(signature):
+        blocks.setdefault(tuple(sig), set()).add(e)
+    return {frozenset(b) for b in blocks.values()}
+
+
+def is_clique_oracle(g, edges):
+    """True iff every pair of the nodes that the edge positions `edges`
+    touch is adjacent in g."""
+    adj = adjacency(g)
+    nodes = {x for e in edges for x in g.edge_ids(e)}
+    return all(b in adj[a] for a, b in itertools.combinations(nodes, 2))
+
+
 def largest_component_loop(g):
     """(LCC as (ids, edge_idx, weights), node fraction) by a node remap dict
     and one pass over the edges; ties go to the smallest member id."""
@@ -632,14 +675,19 @@ def connected_components(g):
 
 
 def biconnected_components(g):
-    """`Graph.blocks` as frozensets of (u_id, v_id) edges."""
-    return [frozenset(g.edge_ids(e) for e in blk) for blk in g.blocks]
+    """The blocks of `Graph.block_label` as frozensets of (u_id, v_id)
+    edges."""
+    blocks = {}
+    for e, b in enumerate(g.block_label.tolist()):
+        blocks.setdefault(b, set()).add(g.edge_ids(e))
+    return [frozenset(blk) for blk in blocks.values()]
 
 
 def is_bridge(g, edge):
     """True iff the edge (u_id, v_id), in either orientation, is a block of
     its own; InputError for an edge not in g."""
-    return (g.edge_pos(*edge),) in g.blocks
+    label = g.block_label
+    return int((label == label[g.edge_pos(*edge)]).sum()) == 1
 
 
 def embeddedness(g, edge):

@@ -244,13 +244,14 @@ def test_criterion_9_byte_identical_determinism(tmp_path):
     cases = [
         ("generate", "--kind", "er_random", "--n", "30", "--p", "0.2", "--seed", "5"),
         ("convexity", "--input", str(net), "--runs", "50", "--seed", "3"),
-        ("skeleton", "--input", str(net), "--runs", "20", "--seed", "3"),
-        ("backbone", "--input", str(net), "--kind", "betweenness", "--seed", "3"),
+        ("skeleton", "--input", str(net), "--tie-break", "random", "--seed", "3"),
+        ("backbone", "--input", str(net), "--kind", "betweenness", "--tie-break", "random",
+         "--seed", "3"),
         ("centrality", "--input", str(net)),
         ("rank", "--input", str(net), "--measure", "degree", "--top", "10"),
         ("buildnet", "--papers", str(papers), "--scheme", "partial"),
         ("distributions", "--input", str(coauth), "--authors", str(authors),
-         "--expr", "ABS_DIFF(year)", "--bin-width", "5", "--seed", "3"),
+         "--expr", "ABS_DIFF(year)", "--bin-width", "5", "--tie-break", "random", "--seed", "3"),
         ("stats", "--input", str(net), "--runs", "20", "--seed", "3"),
     ]
     for i, case in enumerate(cases):

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from unittest import mock
@@ -75,7 +77,7 @@ def test_disconnected_skeleton_exit_3(workdir):
 
 def test_skeleton_outputs(workdir):
     out = workdir / "sk.tsv"
-    r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "10",
+    r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--tie-break", "random",
             "--seed", "1", "--output", str(out),
             "--removal-log", str(workdir / "rm.csv"))
     assert r.returncode == 0, r.stderr
@@ -200,6 +202,56 @@ def _clustered_tsv(path, seed=3):
     return path
 
 
+def _clustered_text(seed, n, m, smin=4, smax=6):
+    """Edge TSV of a tree of cliques on n nodes plus random chords up to m
+    edges: each clique (smin..smax nodes, the last cut to fit) shares one
+    node with a uniformly chosen earlier one; clique edges weigh 1, chords
+    1..4.  Drawn from `random.Random(seed)`, whose stream is fixed across
+    Python versions."""
+    rng = random.Random(seed)
+    groups, edges, nodes = [], {}, 0
+    while nodes < n:
+        size = rng.randint(smin, smax)
+        if not groups:
+            members = list(range(min(size, n)))
+        else:
+            fresh = min(size - 1, n - nodes)
+            members = [rng.choice(rng.choice(groups))] + list(range(nodes, nodes + fresh))
+        nodes += len(members) - (1 if groups else 0)
+        groups.append(members)
+        for i, a in enumerate(members):
+            for b in members[i + 1:]:
+                edges[tuple(sorted((a, b)))] = 1
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        if (u, v) not in edges:
+            edges[(u, v)] = rng.randint(1, 4)
+    return "".join(f"v{u:04d}\tv{v:04d}\t{w}\n" for (u, v), w in edges.items())
+
+
+#: sha256 of the `skeleton --removal-log` CSV of `_clustered_text(7, 502,
+#: 2500)` per objective and tie-break (random with --seed 5): a rewrite of
+#: the skeleton loop must keep these bytes
+REMOVAL_LOG_SHA256 = {
+    ("average_local", "lex"): "08600ea551e7d67ef38de100ce5c5f26d8ed75192b1c8313729085d8334c00bf",
+    ("average_local", "random"): "69c77008b2edb887558c4e43e668a6e6935d1bc61c344ab8123e27d1967c2804",
+    ("transitivity", "lex"): "43ffa610e2d1c72772ca00d7dddba68a47c918dd5807a2eea3675df06aef3213",
+    ("transitivity", "random"): "60b03d0cb5ab004d49b6a53286ac0ce36eb98bd4f8a74f28eefd47a2046925e1",
+}
+
+
+@pytest.mark.parametrize("objective, tie_break", sorted(REMOVAL_LOG_SHA256))
+def test_skeleton_removal_logs_are_pinned(tmp_path, objective, tie_break):
+    src = tmp_path / "clustered.tsv"
+    src.write_text(_clustered_text(7, 502, 2500))
+    log = tmp_path / "removed.csv"
+    seed = ["--seed", "5"] if tie_break == "random" else []
+    r = run("skeleton", "--input", str(src), "--objective", objective, "--tie-break", tie_break,
+            *seed, "--output", str(tmp_path / "sk.tsv"), "--removal-log", str(log))
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == REMOVAL_LOG_SHA256[objective, tie_break]
+
+
 def _forbid_dense_distances(monkeypatch):
     # the all-pairs BFS behind the n x n distance matrix may not run
     from convexa import _kernels
@@ -213,7 +265,7 @@ def _forbid_dense_distances(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["centrality", "--measure", "all"],
     ["rank", "--measure", "closeness"],
-    ["skeleton", "--runs", "5", "--seed", "1"],
+    ["skeleton", "--tie-break", "random", "--seed", "1"],
 ], ids=["centrality", "rank-closeness", "skeleton"])
 def test_runs_without_a_distance_matrix(workdir, monkeypatch, argv):
     # closeness and mean distance read the Brandes pass, and the skeleton is
@@ -271,7 +323,7 @@ print(code, *[m for m in ("numpy.random", "numpy.ma") if m in sys.modules])
 @pytest.mark.parametrize("argv", [
     ["convexity", "--runs", "5", "--output", "OUT.csv"],
     ["compare", "--runs", "5", "--output-dir", "OUT"],
-    ["skeleton", "--runs", "5", "--tie-break", "random", "--output", "OUT.tsv"],
+    ["skeleton", "--tie-break", "random", "--output", "OUT.tsv"],
     ["backbone", "--kind", "mst", "--tie-break", "random", "--output", "OUT.tsv"],
 ], ids=lambda argv: argv[0])
 def test_random_runs_import_neither_numpy_random_nor_numpy_ma(workdir, argv):
@@ -317,14 +369,14 @@ def test_self_loop_records_are_dropped_with_a_warning(workdir, argv):
 def test_skeleton_failed_write_leaves_no_file(workdir):
     # the removal log and the primary output are written all or nothing
     log = workdir / "sk_fail_log.csv"
-    r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "5",
+    r = run("skeleton", "--input", str(workdir / "toc.tsv"),
             "--removal-log", str(log), "--output", str(workdir / "nodir" / "out.tsv"))
     assert r.returncode == 2
     assert str(workdir / "nodir" / "out.tsv") in r.stderr
     assert ".convexa-" not in r.stderr
     assert not log.exists()
     out = workdir / "sk_fail_out.tsv"
-    r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "5",
+    r = run("skeleton", "--input", str(workdir / "toc.tsv"),
             "--removal-log", str(workdir / "nodir" / "log.csv"), "--output", str(out))
     assert r.returncode == 2
     assert str(workdir / "nodir" / "log.csv") in r.stderr
@@ -341,7 +393,7 @@ def test_skeleton_log_path_a_directory_keeps_existing_output(workdir):
     meta.write_text("old meta\n")
     logdir = workdir / "sk_keep_logdir"
     logdir.mkdir()
-    r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "5",
+    r = run("skeleton", "--input", str(workdir / "toc.tsv"),
             "--removal-log", str(logdir), "--output", str(out))
     assert r.returncode == 2
     assert str(logdir) in r.stderr
@@ -571,7 +623,7 @@ def test_distributions_of_a_skeleton_file_match_extracting_it(workdir):
     net.write_text("a\tb\t2\na\td\nb\tc\nb\td\t3\nc\td\n")
     sk = workdir / "diamond_sk.tsv"
     skel = ["--objective", "average_local", "--tie-break", "random"]
-    r = run("skeleton", "--input", str(net), "--runs", "5", "--seed", "3", *skel,
+    r = run("skeleton", "--input", str(net), "--seed", "3", *skel,
             "--output", str(sk))
     assert r.returncode == 0, r.stderr
     common = ["--input", str(net), "--authors", str(workdir / "authors.csv"),
@@ -728,7 +780,7 @@ def test_skeleton_flags_without_a_skeleton_are_refused(workdir, case):
     argv = list(SKELETON_FLAG_IGNORED[case])
     if argv[0] == "distributions":
         sk = workdir / "sk_given.tsv"
-        r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--runs", "2", "--output", str(sk))
+        r = run("skeleton", "--input", str(workdir / "toc.tsv"), "--output", str(sk))
         assert r.returncode == 0, r.stderr
         argv = [str(sk) if a == "SK" else a for a in argv]
         argv += ["--authors", str(workdir / "authors.csv"), "--expr", "SAME(gender)"]
@@ -754,10 +806,18 @@ def test_backbone_sidecar_records_objective_only_where_used(workdir, kind, objec
 #: case -> argv of a run that draws no random numbers (IN and TREE stand for
 #: input graphs, SK for the skeleton file of TREE)
 UNSEEDED = {
+    "skeleton": ["skeleton", "--input", "IN"],
+    "skeleton-lex": ["skeleton", "--input", "IN", "--tie-break", "lex"],
     "backbone-mst": ["backbone", "--input", "IN", "--kind", "mst"],
     "backbone-mst-lex": ["backbone", "--input", "IN", "--kind", "mst", "--tie-break", "lex"],
+    **{f"backbone-{kind}": ["backbone", "--input", "IN", "--kind", kind]
+       for kind in ("skeleton", "betweenness", "embeddedness")},
+    **{f"backbone-{kind}-m": ["backbone", "--input", "IN", "--kind", kind, "--m", "3"]
+       for kind in ("betweenness", "embeddedness")},
     "distributions-skeleton": ["distributions", "--input", "TREE", "--skeleton", "SK",
                                "--authors", "AUTHORS", "--expr", "SAME(gender)"],
+    "distributions-extracting": ["distributions", "--input", "TREE",
+                                 "--authors", "AUTHORS", "--expr", "SAME(gender)"],
     **{f"generate-{kind}": ["generate", "--kind", kind, "--n", "5"]
        for kind in ("path", "cycle", "complete", "star")},
     "generate-triangular_lattice": ["generate", "--kind", "triangular_lattice",
@@ -769,7 +829,7 @@ UNSEEDED = {
 def test_seed_is_refused_and_null_where_nothing_is_random(workdir, case):
     sk = workdir / "sk_unseeded.tsv"
     if not sk.exists():
-        r = run("skeleton", "--input", str(workdir / "tree.tsv"), "--runs", "2", "--output", str(sk))
+        r = run("skeleton", "--input", str(workdir / "tree.tsv"), "--output", str(sk))
         assert r.returncode == 0, r.stderr
     paths = {"IN": workdir / "toc.tsv", "TREE": workdir / "tree.tsv", "SK": sk,
              "AUTHORS": workdir / "authors.csv"}
@@ -801,8 +861,7 @@ def test_seed_is_recorded_where_it_is_drawn_from(workdir, argv):
 DRAWING = {
     "convexity": ["convexity", "--input", "C4", "--runs", "5", "--output", "OUT"],
     "compare": ["compare", "--input", "C4", "--runs", "5", "--output-dir", "OUT"],
-    "skeleton-random": ["skeleton", "--input", "C4", "--runs", "5", "--tie-break", "random",
-                        "--output", "OUT"],
+    "skeleton-random": ["skeleton", "--input", "C4", "--tie-break", "random", "--output", "OUT"],
     "backbone-mst-random": ["backbone", "--input", "C4", "--kind", "mst",
                             "--tie-break", "random", "--output", "OUT"],
     "generate-er_random": ["generate", "--kind", "er_random", "--n", "5", "--p", "0.5",

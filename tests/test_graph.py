@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from convexa import InputError, build_graph, read_edge_flags, read_edge_tsv, write_edge_tsv
-from convexa.graph import component_labels
+from convexa.graph import block_cliques, component_labels
+from convexa.synth import Kind, generate
 from oracles import (
     biconnected_components,
+    block_partition_oracle,
     component_labels_loop,
     connected_components,
     is_bridge,
+    is_clique_oracle,
     random_corpus,
     random_graph,
 )
@@ -123,6 +126,25 @@ def test_block_edge_counts_partition_edges():
         singles = {next(iter(b)) for b in blocks if len(b) == 1}
         for e in range(g.m):
             assert is_bridge(g, g.edge_ids(e)) == (g.edge_ids(e) in singles)
+
+
+def test_blocks_and_clique_test_match_brute_force():
+    rng = np.random.default_rng(11)
+    tocs = [generate(Kind.TREE_OF_CLIQUES, {"cliques": 6, "smin": 2, "smax": 5}, seed=s)
+            for s in range(5)]
+    for g in random_corpus(rng, 60) + tocs:
+        label = g.block_label
+        assert not label.flags.writeable
+        blocks = {}
+        for e, b in enumerate(label.tolist()):
+            blocks.setdefault(b, set()).add(e)
+        # labelled 0, 1, ... with no gap, one partition of the edges
+        assert sorted(blocks) == list(range(len(blocks)))
+        assert set(map(frozenset, blocks.values())) == block_partition_oracle(g)
+        clique = block_cliques(g.n, g.edge_idx, label)
+        assert clique.tolist() == [is_clique_oracle(g, blocks[b]) for b in range(len(blocks))]
+        assert g.is_tree_of_cliques == (g.connected and all(clique))
+    assert all(g.is_tree_of_cliques for g in tocs)
 
 
 def test_bfs_triangle_inequality_sampled():

@@ -20,7 +20,14 @@ from convexa import (
 from convexa.graph import biconnected_edge_blocks
 from convexa.skeleton import _LiveGraph
 from convexa.synth import Kind, generate
-from oracles import blocks_info, objective_after_removal, random_graph, skeleton_loop
+from oracles import (
+    block_partition_oracle,
+    blocks_info,
+    is_clique_oracle,
+    objective_after_removal,
+    random_graph,
+    skeleton_loop,
+)
 
 DIAMOND = [("a", "b"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
 
@@ -242,12 +249,34 @@ def test_block_test_passes_only_blocks_that_stay_biconnected(g, objective):
             edges = live.members[label]  # still holds the dead edge
             ends = live.edge_idx[edges[live.alive[edges]]]
             _, local = np.unique(ends, return_inverse=True)
-            blocks = biconnected_edge_blocks(int(local.max()) + 1, local.reshape(ends.shape))
-            assert len(blocks) == 1
+            label = biconnected_edge_blocks(int(local.max()) + 1, local.reshape(ends.shape))
+            assert not label.any()
 
     patch, _ = _spy_block_test(check)
     with patch:
         extract_convex_skeleton(g, objective)
+
+
+@settings(max_examples=40, deadline=None)
+@given(skeleton_graphs(), st.sampled_from(list(Objective)))
+def test_live_blocks_match_brute_force_after_every_removal(g, objective):
+    # labels, members, bridges and non-clique blocks of the live graph, after
+    # each removal, against the brute-force blocks of the graph left
+    live = _LiveGraph(g, objective)
+    while True:
+        alive = np.flatnonzero(live.alive)
+        sub = g.subgraph_with_edges(alive)  # its edge i is alive[i]
+        blocks = {}
+        for i, e in enumerate(alive.tolist()):
+            blocks.setdefault(int(live.block[e]), set()).add(i)
+        assert set(map(frozenset, blocks.values())) == block_partition_oracle(sub)
+        assert {b: set(live.members[b].tolist()) for b in live.members} == {
+            b: set(alive[sorted(pos)].tolist()) for b, pos in blocks.items()}
+        assert live.bridge[alive].tolist() == [len(blocks[int(live.block[e])]) == 1 for e in alive]
+        assert live.nonclique == {b for b, pos in blocks.items() if not is_clique_oracle(sub, pos)}
+        if not live.nonclique:
+            break
+        live.remove(int(np.argmax(live.objective_after_removal())))
 
 
 @pytest.mark.parametrize("k", [4, 5, 9])

@@ -10,8 +10,17 @@ import numpy as np
 
 from ._rng import Stream
 from .errors import ConvexaError, DisconnectedError, InputError
-from .graph import Graph, find
+from .graph import Graph
 from .kinds import BackboneKind, TieBreak
+
+
+def _find(parent, x):
+    """Root of x in the union-find forest `parent` (a list), halving the
+    path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def maximum_spanning_tree(
@@ -31,7 +40,7 @@ def maximum_spanning_tree(
     chosen = []
     for e in order.tolist():
         u, v = ends[e]
-        ru, rv = find(parent, u), find(parent, v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
             chosen.append(e)

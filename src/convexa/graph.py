@@ -99,21 +99,24 @@ class Graph:
         return cn
 
     @cached_property
-    def labels(self):
-        """Per-node component label, the smallest node index of its
-        component; int64, read-only."""
-        labels = component_labels(self)
-        labels.flags.writeable = False
-        return labels
-
-    @cached_property
-    def block_label(self):
-        """Per edge, the label of its biconnected block (see
-        `biconnected_edge_blocks`), decomposed once per graph; int64,
+    def structure(self):
+        """`biconnected_edge_blocks` of the graph, run once: per edge its
+        block label, per node its component label, per block its top; int64,
         read-only."""
-        label = biconnected_edge_blocks(self.n, self.edge_idx)
-        label.flags.writeable = False
-        return label
+        arrays = biconnected_edge_blocks(self.n, self.edge_idx)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    @property
+    def labels(self):
+        """Per node, the smallest node index of its component."""
+        return self.structure[1]
+
+    @property
+    def block_label(self):
+        """Per edge, the label of its biconnected block."""
+        return self.structure[0]
 
     @cached_property
     def is_tree_of_cliques(self):
@@ -208,31 +211,14 @@ def build_graph(edge_records, isolated_nodes=()):
 # ---------------------------------------------------------------------------
 # traversal / decomposition
 
-def find(parent, x):
-    """Root of x in the union-find forest `parent` (a list), halving the
-    path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def component_labels(g):
-    """Component label per node, the smallest node index of its component:
-    union-find over the edges, each union keeping the smaller root."""
-    parent = list(range(g.n))
-    for u, v in g.edge_idx.tolist():
-        ru, rv = find(parent, u), find(parent, v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    return np.array([find(parent, i) for i in range(g.n)], dtype=np.int64)
-
-
 def biconnected_edge_blocks(n, edge_idx):
-    """Per edge, the label of its block (biconnected component): int64,
-    the blocks numbered 0, 1, ... in the order they close.
-
-    Iterative Hopcroft-Tarjan; a bridge is a block of its own.
+    """A graph's components and blocks (biconnected components) from one
+    depth-first search, iterative Hopcroft-Tarjan; three int64 arrays:
+      - per edge, the label of its block, the blocks numbered 0, 1, ... in
+        the order they close; a bridge is a block of its own;
+      - per node, the root of its search: roots are tried in index order,
+        so each component's smallest index;
+      - per block, its top: the node it closes at, the one nearest the root.
     """
     adj = [[] for _ in range(n)]
     for e, (u, v) in enumerate(edge_idx.tolist()):
@@ -240,8 +226,9 @@ def biconnected_edge_blocks(n, edge_idx):
         adj[v].append((u, e))
     disc = [-1] * n
     low = [0] * n
+    root_of = list(range(n))
     label = [0] * len(edge_idx)
-    blocks = 0
+    top = []
     estack = []
     clock = 0
     for root in range(n):
@@ -260,6 +247,7 @@ def biconnected_edge_blocks(n, edge_idx):
                     estack.append(eid)
                     disc[w] = low[w] = clock
                     clock += 1
+                    root_of[w] = root
                     stack.append((w, eid, iter(adj[w])))
                     advanced = True
                     break
@@ -274,13 +262,14 @@ def biconnected_edge_blocks(n, edge_idx):
                     if low[v] >= disc[u]:
                         while True:
                             eid = estack.pop()
-                            label[eid] = blocks
+                            label[eid] = len(top)
                             if eid == parent_eid:
                                 break
-                        blocks += 1
+                        top.append(u)
                     if low[v] < low[u]:
                         low[stack[-1][0]] = low[v]
-    return np.array(label, dtype=np.int64)
+    return (np.array(label, dtype=np.int64), np.array(root_of, dtype=np.int64),
+            np.array(top, dtype=np.int64))
 
 
 def block_members(n, edge_idx, label):
@@ -324,38 +313,30 @@ def block_tree_brandes(g):
       - every node reaches all n.
     Betweenness holds half of each count, as the pass does; the counts are
     integers far below 2**53, so the floats are equal bit for bit.  The
-    walk is O(n + m) in Python, over about n + |blocks| incidences.
+    block-cut tree is read off the search that labelled the blocks; the
+    loops over it are O(n) in Python.
     """
-    n, label = g.n, g.block_label
+    n, label, top = g.n, g.block_label, g.structure[2]
     blk, node = block_members(n, g.edge_idx, label)
-    members = [[] for _ in range(int(label.max(initial=-1)) + 1)]
-    of_node = [[] for _ in range(n)]
-    for b, v in zip(blk.tolist(), node.tolist()):
-        members[b].append(v)
-        of_node[v].append(b)
-    # breadth first from node 0: a block hangs below the node it is reached
-    # from, and each of its other nodes below it, one hop further down
-    top = [0] * len(members)
-    via = [-1] * n
-    up = [0] * n
+    # the search that labelled the blocks started at node 0, so each block
+    # hangs below its top, and every other node below the one block that
+    # holds it and does not close at it; a block closes before the block
+    # its top hangs below, so descending labels list each node after the
+    # node it hangs below
+    hang = np.flatnonzero(top[blk] != node)[::-1]
+    via = np.full(n, -1, np.int64)
+    via[node[hang]] = blk[hang]
+    below = node[hang].tolist()
+    up = np.append(top, 0)[via].tolist()  # node 0, with via -1, reads the 0
     depth = [0] * n
-    order = [0] if n else []
-    for v in order:
-        for b in of_node[v]:
-            if b != via[v]:
-                top[b] = v
-                for x in members[b]:
-                    if x != v:
-                        via[x], up[x], depth[x] = b, v, depth[v] + 1
-                        order.append(x)
-    below = order[1:]
+    for x in below:
+        depth[x] = depth[up[x]] + 1
     sub = [1] * n
     for x in reversed(below):
         sub[up[x]] += sub[x]
     sub = np.array(sub, np.int64)
-    via = np.array(via, np.int64)
     # h of the node a block hangs below: all but the block's subtree
-    h_top = n - np.bincount(via[below], weights=sub[below], minlength=len(members)).astype(np.int64)
+    h_top = n - np.bincount(via[below], weights=sub[below], minlength=len(top)).astype(np.int64)
     # the pieces of g - v: the subtrees of the blocks below v and, unless v
     # is node 0, the rest of the graph
     pieces = np.bincount(top, weights=(n - h_top) ** 2, minlength=n) + (n - sub) ** 2
@@ -378,13 +359,16 @@ def block_tree_brandes(g):
 
 def open_text(path, newline=None):
     """The UTF-8 text of `path` as a file object, with `newline` as for
-    open(); a byte that is not UTF-8 raises InputError naming the file."""
+    open(), less one leading byte-order mark (Excel's "CSV UTF-8" writes
+    one); a byte that is not UTF-8 raises InputError naming the file and
+    the byte's offset in it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return io.StringIO(text.removeprefix("\ufeff"), newline=newline)
 
 
 def _tsv_fields(path):
@@ -400,18 +384,17 @@ def _tsv_fields(path):
 def read_edge_tsv(path):
     records = []
     for lineno, parts in _tsv_fields(path):
-        if len(parts) == 2:
-            records.append((parts[0], parts[1]))
-        elif len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: bad weight {parts[2]!r}")
-            if not 0 < w < math.inf:  # also false for nan
-                raise InputError(f"{path}:{lineno}: weight {parts[2]!r} is not a positive finite number")
-            records.append((parts[0], parts[1], w))
-        else:
+        if len(parts) not in (2, 3):
             raise InputError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+        if not (parts[0] and parts[1]):
+            raise InputError(f"{path}:{lineno}: empty node id")
+        try:
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad weight {parts[2]!r}")
+        if not 0 < w < math.inf:  # also false for nan
+            raise InputError(f"{path}:{lineno}: weight {parts[2]!r} is not a positive finite number")
+        records.append((parts[0], parts[1], w))
     return build_graph(records)
 
 
@@ -423,11 +406,13 @@ def write_edge_tsv(g, fh, flags=None, flag_name="in_backbone"):
     """Write `u\tv\tweight` lines; with `flags` adds a 0/1 membership column.
 
     Raises InputError, before writing anything, for `flags` that are not
-    an edge set of g (see `Graph.edge_set`), and for an endpoint id that
-    holds a tab or a line break, or that starts with `#` (a comment line to
-    `read_edge_tsv`): the file could not be read back.
+    an edge set of g (see `Graph.edge_set`), and for an endpoint id that is
+    empty, holds a tab or a line break, or starts with `#` (a comment line
+    to `read_edge_tsv`): the file could not be read back.
     """
     for i in np.flatnonzero(g.degrees):  # the endpoints of the edges
+        if not g.ids[i]:
+            raise InputError("empty node id")
         if any(c in g.ids[i] for c in "\t\n\r"):
             raise InputError(f"node id {g.ids[i]!r} holds a tab or a line break")
         if g.ids[i].lstrip().startswith("#"):

@@ -72,8 +72,7 @@ def _largest_component_mask(g: Graph):
         return np.ones(g.n, dtype=bool)
     # labels are each component's smallest node index, and ids are sorted,
     # so argmax's first maximum is the tied component with the smallest id
-    vals, counts = np.unique(g.labels, return_counts=True)
-    return g.labels == vals[np.argmax(counts)]
+    return g.labels == np.bincount(g.labels).argmax()
 
 
 def largest_component_graph(g: Graph):

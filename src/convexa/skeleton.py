@@ -88,7 +88,7 @@ class _LiveGraph:
         seen[ends] = True
         k = int(seen.sum())
         local = (np.cumsum(seen) - 1)[ends]
-        self._label_blocks(edges, k, local, biconnected_edge_blocks(k, local))
+        self._label_blocks(edges, k, local, biconnected_edge_blocks(k, local)[0])
 
     def _label_blocks(self, edges, n, ends, label):
         """Give each block of `edges` a fresh label: `label` numbers the

@@ -214,7 +214,7 @@ def blocks_info(n, edge_idx, alive_pos):
     from convexa.graph import biconnected_edge_blocks
 
     sub = edge_idx[alive_pos]
-    label = biconnected_edge_blocks(n, sub).tolist()
+    label = biconnected_edge_blocks(n, sub)[0].tolist()
     blocks = {}
     for e, b in enumerate(label):
         blocks.setdefault(b, []).append(e)

@@ -500,6 +500,21 @@ def test_buildnet_rejects_comment_author_id(workdir):
     assert not out.exists()
 
 
+def test_a_leading_byte_order_mark_is_not_part_of_the_input(workdir):
+    # Excel's "CSV UTF-8" starts the file with one
+    for cmd, flag, src in (("buildnet", "--papers", "papers.csv"),
+                           ("centrality", "--input", "tree.tsv")):
+        bom = workdir / f"bom_{src}"
+        bom.write_bytes(b"\xef\xbb\xbf" + (workdir / src).read_bytes())
+        outs = []
+        for path in (workdir / src, bom):
+            out = workdir / f"bom_{cmd}_{path.name}.out"
+            r = run(cmd, flag, str(path), "--output", str(out))
+            assert r.returncode == 0, r.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
 def test_buildnet_fractional_toy(workdir):
     out = workdir / "net.tsv"
     r = run("buildnet", "--papers", str(workdir / "papers.csv"),
@@ -911,6 +926,7 @@ MALFORMED = {
     "papers-not-utf8": ("papers", b"paper_id,author_id\np1,a\np1,\xff\n", []),
     "authors-not-utf8": ("authors", b"author_id,gender\na,F\n\xe9,M\n", []),
     "edges-not-utf8": ("input", b"a\tb\nb\t\xe9\n", []),
+    "edges-empty-id": ("input", b"a\tb\nb\t\n", []),
     "attribute-not-a-number": (
         "authors", b"author_id,gender\na,F\nb,F\nc,M\nd,M\n", ["--bin-width", "5"]),
 }

@@ -249,7 +249,7 @@ def test_convexity_checks_connectivity_once_per_graph():
     g = random_graph(np.random.default_rng(4), 12, 0.4, connected=True)
     g = build_graph([g.edge_ids(e) for e in range(g.m)])  # fresh: nothing cached
     with mock.patch.object(
-        graph_module, "component_labels", wraps=graph_module.component_labels
+        graph_module, "biconnected_edge_blocks", wraps=graph_module.biconnected_edge_blocks
     ) as labels:
         convexity(g, runs=10, seed=0)
         convex_hull(g, g.ids[:2])

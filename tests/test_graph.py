@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from convexa import InputError, build_graph, read_edge_flags, read_edge_tsv, write_edge_tsv
-from convexa.graph import block_cliques, component_labels
+from convexa.graph import block_cliques
 from convexa.synth import Kind, generate
 from oracles import (
     biconnected_components,
@@ -184,6 +184,22 @@ def test_tsv_bad_weight(tmp_path):
         read_edge_tsv(p)
 
 
+@pytest.mark.parametrize("line", ["a\t", "\tb", "a\t\t2"])
+def test_tsv_empty_node_id_names_its_line(tmp_path, line):
+    p = tmp_path / "empty.tsv"
+    p.write_text(f"x\ty\n{line}\n")
+    with pytest.raises(InputError) as exc:
+        read_edge_tsv(p)
+    assert str(exc.value) == f"{p}:2: empty node id"
+
+
+def test_write_refuses_an_empty_node_id():
+    buf = io.StringIO()
+    with pytest.raises(InputError):
+        write_edge_tsv(build_graph([("a", "b"), ("", "a")]), buf)
+    assert buf.getvalue() == ""
+
+
 def _flagged_lines(g, flags):
     import io
 
@@ -259,5 +275,5 @@ def test_labels_match_the_loop_on_random_graphs():
 def test_labels_are_each_components_smallest_index():
     g = build_graph([("d", "b"), ("c", "e"), ("e", "a")], isolated_nodes=["f"])
     # a b c d e f -> {a, c, e} = 0, {b, d} = 1, {f} = 5
-    assert component_labels(g).tolist() == [0, 1, 0, 1, 0, 5]
+    assert g.labels.tolist() == [0, 1, 0, 1, 0, 5]
     assert not g.connected

@@ -394,10 +394,19 @@ def test_brandes_reach_and_distance_sums_match_the_bfs_loop():
             _assert_reach_matches_bfs_loop(indptr, indices, g.n, run.reach, run.dist_sum)
 
 
+def _relabelled(g, rng):
+    """g with its ids permuted, so that any node may take index 0."""
+    name = [g.ids[i] for i in rng.permutation(g.n)]
+    return cx.build_graph([(name[u], name[v]) for u, v in g.edge_idx.tolist()])
+
+
 def _trees_of_cliques():
     """Connected trees of cliques: no node, one node, one edge, K5, paths,
-    stars, two triangles on one node, generated ones (smin 2 to 6) and the
-    skeleton and spanning tree of a clustered graph."""
+    stars, two triangles on one node, generated ones (smin 2 to 6) as
+    generated and with their ids permuted, and the skeleton and spanning
+    tree of a clustered graph.  The permuted ones root the closed form's
+    block-cut tree, at node 0, at other nodes: cut vertices and nodes of a
+    single clique."""
     yield cx.build_graph([])
     yield cx.build_graph([], isolated_nodes=["a"])
     yield cx.build_graph([("a", "b")])
@@ -406,10 +415,13 @@ def _trees_of_cliques():
         yield _path(n)
         yield generate(Kind.STAR, {"n": n})
     yield cx.build_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
+    rng = np.random.default_rng(26)
     for seed in range(6):
         for smin in range(2, 7):
             params = {"cliques": 3 + 4 * seed, "smin": smin, "smax": smin + seed % 3}
-            yield generate(Kind.TREE_OF_CLIQUES, params, seed)
+            toc = generate(Kind.TREE_OF_CLIQUES, params, seed)
+            yield toc
+            yield _relabelled(toc, rng)
     # a clustered graph: a tree of cliques with 60 random chords
     toc = generate(Kind.TREE_OF_CLIQUES, {"cliques": 40, "smin": 3, "smax": 6}, 3)
     chords = np.random.default_rng(3).choice(toc.ids, (60, 2))

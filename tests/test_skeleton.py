@@ -249,7 +249,7 @@ def test_block_test_passes_only_blocks_that_stay_biconnected(g, objective):
             edges = live.members[label]  # still holds the dead edge
             ends = live.edge_idx[edges[live.alive[edges]]]
             _, local = np.unique(ends, return_inverse=True)
-            label = biconnected_edge_blocks(int(local.max()) + 1, local.reshape(ends.shape))
+            label = biconnected_edge_blocks(int(local.max()) + 1, local.reshape(ends.shape))[0]
             assert not label.any()
 
     patch, _ = _spy_block_test(check)

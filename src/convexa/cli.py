@@ -212,6 +212,11 @@ def _skeleton_of(g, args, seed):
 
 
 def cmd_skeleton(args):
+    # one {path: text} dict holds every output, and `./x` is `x`: the log
+    # would silently replace the skeleton TSV or its sidecar
+    outputs = {os.path.realpath(p) for p in (args.output, args.output + ".meta.json")}
+    if args.removal_log and os.path.realpath(args.removal_log) in outputs:
+        raise InputError(f"--removal-log {args.removal_log} names --output or its sidecar")
     g = _read_graph(args.input)
     _skeleton_flags(args, objective=True, tie_break=True)
     seed = _resolve_seed(args, used=args.tie_break == TieBreak.RANDOM.value)

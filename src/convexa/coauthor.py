@@ -190,10 +190,10 @@ def _maybe_number(text):
 
 
 def _csv_rows(path, columns):
-    """The rows of a CSV file as dicts.  InputError when its header lacks
-    one of `columns` (an empty file has no header), a row holds more fields
-    than the header, or a row leaves one of `columns` missing or empty (an
-    empty id would be taken for a real one)."""
+    """The (line number, row as a dict) pairs of a CSV file.  InputError
+    when its header lacks one of `columns` (an empty file has no header), a
+    row holds more fields than the header, or a row leaves one of `columns`
+    missing or empty (an empty id would be taken for a real one)."""
     with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not set(columns) <= set(reader.fieldnames or ()):
@@ -204,7 +204,7 @@ def _csv_rows(path, columns):
             for c in columns:
                 if not row[c]:
                     raise InputError(f"{path}:{reader.line_num}: no {c}")
-            yield row
+            yield reader.line_num, row
 
 
 def read_papers_csv(links_path, meta_path=None):
@@ -215,32 +215,35 @@ def read_papers_csv(links_path, meta_path=None):
     """
     authors_by_paper = {}
     order = []
-    for row in _csv_rows(links_path, ("paper_id", "author_id")):
+    for _, row in _csv_rows(links_path, ("paper_id", "author_id")):
         pid, author = row["paper_id"], row["author_id"]
         if pid not in authors_by_paper:
             authors_by_paper[pid] = []
             order.append(pid)
         authors_by_paper[pid].append(author)
-    meta = {}
-    if meta_path:
-        for row in _csv_rows(meta_path, ("paper_id",)):
-            meta[row["paper_id"]] = {
-                k: _maybe_number(v) for k, v in row.items() if k != "paper_id"
-            }
+    meta = _attribute_table(meta_path, "paper_id") if meta_path else {}
     return [
         PaperRecord(pid, tuple(authors_by_paper[pid]), meta.get(pid, {}))
         for pid in order
     ]
 
 
+def _attribute_table(path, key):
+    """{id: {column: value}} of a CSV whose `key` column holds the ids,
+    numbers parsed where possible; InputError for an id listed twice, whose
+    later row would silently replace the first."""
+    table = {}
+    for line, row in _csv_rows(path, (key,)):
+        ident = row.pop(key)
+        if ident in table:
+            raise InputError(f"{path}:{line}: {key} {ident!r} is listed twice")
+        table[ident] = {k: _maybe_number(v) for k, v in row.items()}
+    return table
+
+
 def read_authors_csv(path):
     """Author attribute table: header row names attributes, `author_id` keys it."""
-    table = {}
-    for row in _csv_rows(path, ("author_id",)):
-        table[row["author_id"]] = {
-            k: _maybe_number(v) for k, v in row.items() if k != "author_id"
-        }
-    return table
+    return _attribute_table(path, "author_id")
 
 
 def filter_years(papers, year_min=None, year_max=None):

@@ -42,8 +42,8 @@ class _LiveGraph:
     Per node: degree and a {neighbour: edge position} dict.  Per edge:
     alive flag, common-neighbour count (0 once dead), block label, bridge
     flag and, for AVERAGE_LOCAL, the sum of 1 / C(deg_w, 2) over its common
-    neighbours w.  Per block: its live edge positions, and the set of
-    blocks that are not cliques.  Memory is O(n + m).
+    neighbours w.  A block's edges are the live edges with its label; the
+    set of blocks that are not cliques is kept too.  Memory is O(n + m).
     """
 
     def __init__(self, g, objective):
@@ -66,7 +66,6 @@ class _LiveGraph:
             self.w_loss = np.array([self._weight_sum(e, inv) for e in range(m)], float)
         self.block = np.zeros(m, dtype=np.int64)
         self.bridge = np.zeros(m, dtype=bool)
-        self.members = {}
         self.nonclique = set()
         self._next_label = 0
         self._label_blocks(np.arange(m), n, g.edge_idx, g.block_label)
@@ -79,8 +78,9 @@ class _LiveGraph:
             acc += inv[w]
         return acc
 
-    def _decompose(self, edges):
-        """Label the blocks of the live `edges`, which span one old block."""
+    def _decompose(self, label):
+        """Label the blocks of the live edges of the old block `label`."""
+        edges = np.flatnonzero((self.block == label) & self.alive)
         # renumber the block's nodes 0..k-1: the Python decomposition is then
         # O(block), not O(n)
         ends = self.edge_idx[edges]
@@ -95,14 +95,10 @@ class _LiveGraph:
         blocks 0, 1, ... per edge, and `ends` holds the edges' end nodes
         among 0..n-1."""
         clique = block_cliques(n, ends, label)
-        sizes = np.bincount(label, minlength=clique.size)
         first = self._next_label
         self._next_label += clique.size
         self.block[edges] = first + label
-        self.bridge[edges] = sizes[label] == 1
-        pieces = np.split(edges[np.argsort(label, kind="stable")], np.cumsum(sizes)[:-1])
-        # copied: a view would keep all of `edges` alive while any piece lives
-        self.members.update(zip(range(first, self._next_label), map(np.copy, pieces)))
+        self.bridge[edges] = np.bincount(label)[label] == 1
         self.nonclique.update((first + np.flatnonzero(~clique)).tolist())
 
     def objective_after_removal(self):
@@ -161,15 +157,12 @@ class _LiveGraph:
             for f in stale:
                 self.w_loss[f] = self._weight_sum(f, inv)
         label = int(self.block[e])
-        edges = self.members[label]
         if self._still_biconnected(u, v, label):
             # same nodes, one edge fewer: not a clique
-            self.members[label] = edges[edges != e]
             self.nonclique.add(label)
         else:
-            del self.members[label]
             self.nonclique.discard(label)
-            self._decompose(edges[edges != e])
+            self._decompose(label)
 
     def _still_biconnected(self, u, v, label):
         """Sufficient test that block `label`, which just lost the edge

@@ -403,6 +403,16 @@ def test_skeleton_log_path_a_directory_keeps_existing_output(workdir):
     assert not [p for p in os.listdir(workdir) if p.startswith(".convexa-")]
 
 
+@pytest.mark.parametrize("case", ["output", "sidecar", "dot"])
+def test_skeleton_log_naming_another_output_is_refused(workdir, case):
+    out = workdir / f"sk_same_{case}.tsv"
+    log = {"output": str(out), "sidecar": f"{out}.meta.json", "dot": f"{workdir}/./{out.name}"}
+    r = run("skeleton", "--input", str(workdir / "toc.tsv"),
+            "--output", str(out), "--removal-log", log[case])
+    _refused(workdir, r, out)
+    assert r.stderr.endswith("names --output or its sidecar\n")
+
+
 def test_convergence_failure_exits_4(workdir, monkeypatch, capsys):
     import importlib
 
@@ -948,6 +958,26 @@ def test_malformed_input_exits_3(workdir, case):
     files[role] = bad
     argv = [*cmd, *(a for k, p in files.items() for a in (f"--{k}", str(p)))]
     _refused(workdir, run(*argv, *extra, "--output", str(out)), out)
+
+
+@pytest.mark.parametrize("role,data", [
+    # keeping the later row would date p1 1999 and drop it under --year-min
+    ("paper-meta", b"paper_id,year\np1,2001\np1,1999\n"),
+    ("authors", b"author_id,gender\na,F\nb,F\nc,M\nd,M\na,M\n"),
+], ids=["paper-meta", "authors"])
+def test_attribute_id_listed_twice_names_its_line(workdir, role, data):
+    bad = workdir / f"twice_{role}.csv"
+    bad.write_bytes(data)
+    out = workdir / f"twice_{role}.out"
+    if role == "paper-meta":
+        argv = ["buildnet", "--papers", str(workdir / "papers.csv"), "--year-min", "2000"]
+        line, key = 3, "paper_id 'p1'"
+    else:
+        argv = ["distributions", "--input", str(workdir / "tree.tsv"), "--expr", "SAME(gender)"]
+        line, key = 6, "author_id 'a'"
+    r = run(*argv, f"--{role}", str(bad), "--output", str(out))
+    _refused(workdir, r, out)
+    assert r.stderr == f"error: {bad}:{line}: {key} is listed twice\n"
 
 
 @pytest.mark.parametrize("weight", ["0", "-1", "nan", "inf"])

@@ -246,8 +246,8 @@ def _spy_block_test(check):
 def test_block_test_passes_only_blocks_that_stay_biconnected(g, objective):
     def check(live, label, result):
         if result:
-            edges = live.members[label]  # still holds the dead edge
-            ends = live.edge_idx[edges[live.alive[edges]]]
+            # the dead edge keeps its label
+            ends = live.edge_idx[(live.block == label) & live.alive]
             _, local = np.unique(ends, return_inverse=True)
             label = biconnected_edge_blocks(int(local.max()) + 1, local.reshape(ends.shape))[0]
             assert not label.any()
@@ -260,7 +260,7 @@ def test_block_test_passes_only_blocks_that_stay_biconnected(g, objective):
 @settings(max_examples=40, deadline=None)
 @given(skeleton_graphs(), st.sampled_from(list(Objective)))
 def test_live_blocks_match_brute_force_after_every_removal(g, objective):
-    # labels, members, bridges and non-clique blocks of the live graph, after
+    # labels, bridges and non-clique blocks of the live graph, after
     # each removal, against the brute-force blocks of the graph left
     live = _LiveGraph(g, objective)
     while True:
@@ -270,8 +270,6 @@ def test_live_blocks_match_brute_force_after_every_removal(g, objective):
         for i, e in enumerate(alive.tolist()):
             blocks.setdefault(int(live.block[e]), set()).add(i)
         assert set(map(frozenset, blocks.values())) == block_partition_oracle(sub)
-        assert {b: set(live.members[b].tolist()) for b in live.members} == {
-            b: set(alive[sorted(pos)].tolist()) for b, pos in blocks.items()}
         assert live.bridge[alive].tolist() == [len(blocks[int(live.block[e])]) == 1 for e in alive]
         assert live.nonclique == {b for b, pos in blocks.items() if not is_clique_oracle(sub, pos)}
         if not live.nonclique:

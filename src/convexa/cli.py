@@ -2,7 +2,8 @@
 
 Every subcommand writes its primary artifact atomically and drops a JSON
 metadata sidecar (`<output>.meta.json`) recording tool version, config
-and seed, so runs are reproducible byte for byte.
+and seed, so runs are reproducible byte for byte.  `write_files` writes
+every file and refuses one that would replace an input or another output.
 
 Exit codes: 0 success, 2 I/O, 3 precondition violation, 4 numerical failure.
 """
@@ -46,27 +47,47 @@ def csv_text(rows):
     return buf.getvalue()
 
 
-def write_files(texts):
-    """Write every {path: text}, or none of them.
+#: the args that name a file the run reads
+INPUTS = ("input", "papers", "paper_meta", "authors", "skeleton")
 
-    A path that is a directory is refused before anything is written.  Each
-    text goes to a temporary file beside its path, and the temporary files
-    replace their paths only once all are written; on failure the temporary
-    files and any path created here are removed again.  Only new files are
+
+def write_files(args, config, texts, extra=None):
+    """Write every {path: text} of `texts` with its `<path>.meta.json`
+    sidecar (tool version, subcommand and config), and every one of `extra`
+    without: all or nothing.  Refused before anything is written: a path
+    that is a directory, and (InputError) one whose `os.path.realpath` is
+    an input file of the run or another path written here.
+
+    Each text goes to a temporary file beside its path, and the temporary
+    files replace their paths only once all are written; on failure they
+    and any path created here are removed again.  Only new files are
     strictly all or nothing: should a replace itself fail after others have
-    succeeded, the existing paths already replaced keep their new text.
-    Files get mode 0o666 & ~umask, as open() would give them, and an I/O
-    error names the requested path.
+    succeeded, the paths already replaced keep their new text.  Files get
+    mode 0o666 & ~umask, as open() would give them, and an I/O error names
+    the requested path.
     """
-    for path in texts:
+    meta = {"tool": "convexa", "version": __version__, "subcommand": args.subcommand}
+    meta = json.dumps({**meta, "config": config}, sort_keys=True, indent=2) + "\n"
+    files = [pair for p, t in texts.items() for pair in ((p, t), (p + ".meta.json", meta))]
+    files += (extra or {}).items()
+    # realpath -> the input or output there: `./x` and a symlink to x are x
+    taken = {
+        os.path.realpath(p): f"--{name.replace('_', '-')} {p}"
+        for name in INPUTS if (p := getattr(args, name, None)) is not None
+    }
+    for path, _ in files:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        real = os.path.realpath(path)
+        if real in taken:
+            raise InputError(f"output {path} would replace {taken[real]}")
+        taken[real] = f"output {path}"
     mask = os.umask(0)
     os.umask(mask)
     staged = {}
     created = []
     try:
-        for path, text in texts.items():
+        for path, text in files:
             try:
                 fd, staged[path] = tempfile.mkstemp(
                     dir=os.path.dirname(os.path.abspath(path)), prefix=".convexa-"
@@ -92,32 +113,14 @@ def write_files(texts):
         raise
 
 
-def with_meta(texts, args, config):
-    """The {path: text} outputs, each followed by its `<path>.meta.json`
-    sidecar recording tool version, subcommand and config."""
-    meta = {
-        "tool": "convexa",
-        "version": __version__,
-        "subcommand": args.subcommand,
-        "config": config,
-    }
-    meta = json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    files = {}
-    for path, text in texts.items():
-        files[path] = text
-        files[path + ".meta.json"] = meta
-    return files
-
-
 def emit(args, config, csv_text, to_json, extra=None):
-    """Write the primary output (CSV, or with --format json the object that
-    `to_json()` builds, called only then), its .meta.json sidecar and the
-    `extra` {path: text} files, all or nothing."""
+    """Write the primary output, CSV or, with --format json, the object
+    that `to_json()` builds (called only then), and `extra` (`write_files`)."""
     if args.format == "json":
         text = json.dumps(to_json(), sort_keys=True, indent=2) + "\n"
     else:
         text = csv_text
-    write_files({**with_meta({args.output: text}, args, config), **(extra or {})})
+    write_files(args, config, {args.output: text}, extra)
 
 
 def _resolve_seed(args, used=True):
@@ -212,11 +215,6 @@ def _skeleton_of(g, args, seed):
 
 
 def cmd_skeleton(args):
-    # one {path: text} dict holds every output, and `./x` is `x`: the log
-    # would silently replace the skeleton TSV or its sidecar
-    outputs = {os.path.realpath(p) for p in (args.output, args.output + ".meta.json")}
-    if args.removal_log and os.path.realpath(args.removal_log) in outputs:
-        raise InputError(f"--removal-log {args.removal_log} names --output or its sidecar")
     g = _read_graph(args.input)
     _skeleton_flags(args, objective=True, tie_break=True)
     seed = _resolve_seed(args, used=args.tie_break == TieBreak.RANDOM.value)
@@ -349,8 +347,7 @@ def cmd_compare(args):
         "tie_break": args.tie_break,
     }
     os.makedirs(args.output_dir, exist_ok=True)
-    paths = {os.path.join(args.output_dir, name): text for name, text in texts.items()}
-    write_files(with_meta(paths, args, config))
+    write_files(args, config, {os.path.join(args.output_dir, n): t for n, t in texts.items()})
     print(f"compare: wrote stats.csv and {len(graphs)} correlation file(s) to {args.output_dir}")
     return 0
 

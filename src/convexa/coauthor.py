@@ -210,21 +210,21 @@ def _csv_rows(path, columns):
 def read_papers_csv(links_path, meta_path=None):
     """Long-form links CSV `paper_id,author_id` plus optional metadata CSV.
 
-    The metadata CSV needs a `paper_id` column; every other column becomes
-    a paper attribute (numbers parsed where possible).
+    A row that repeats a (paper_id, author_id) pair is refused, naming its
+    line.  The metadata CSV needs a `paper_id` column; every other column
+    becomes a paper attribute (numbers parsed where possible).
     """
-    authors_by_paper = {}
-    order = []
-    for _, row in _csv_rows(links_path, ("paper_id", "author_id")):
+    authors_by_paper = {}  # paper id -> {author id: None}, both in first-seen order
+    for line, row in _csv_rows(links_path, ("paper_id", "author_id")):
         pid, author = row["paper_id"], row["author_id"]
-        if pid not in authors_by_paper:
-            authors_by_paper[pid] = []
-            order.append(pid)
-        authors_by_paper[pid].append(author)
+        authors = authors_by_paper.setdefault(pid, {})
+        if author in authors:
+            raise InputError(f"{links_path}:{line}: paper {pid!r} lists author {author!r} twice")
+        authors[author] = None
     meta = _attribute_table(meta_path, "paper_id") if meta_path else {}
     return [
-        PaperRecord(pid, tuple(authors_by_paper[pid]), meta.get(pid, {}))
-        for pid in order
+        PaperRecord(pid, tuple(authors), meta.get(pid, {}))
+        for pid, authors in authors_by_paper.items()
     ]
 
 

@@ -12,6 +12,7 @@ tests in O(deg) distance rows whether the pushed node alone keeps its set
 convex, which it does for most steps.
 """
 
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -120,15 +121,17 @@ def _expansion_block(g, rngs):
 
 def _expansion_totals(g, rngs):
     """Sum over the runs of |S| after each step t = 0 .. n-1, one run per
-    generator in `rngs`.  A run starts from a uniform node, then repeatedly
-    pushes the outer end of a uniform cut edge and re-closes the set.  It
-    draws `integers(n)` once, then `integers(number of cut edges)` per step
-    until the set is full."""
-    # blocks of at most RUN_BLOCK_ELEMENTS // (n + m) runs (at least one)
+    generator of the iterable `rngs`.  A run starts from a uniform node,
+    then repeatedly pushes the outer end of a uniform cut edge and re-closes
+    the set.  It draws `integers(n)` once, then `integers(number of cut
+    edges)` per step until the set is full."""
+    # blocks of at most RUN_BLOCK_ELEMENTS // (n + m) runs (at least one),
+    # each taking its generators only when it starts
     k = max(1, RUN_BLOCK_ELEMENTS // (g.n + g.m))
     totals = np.zeros(g.n, dtype=np.int64)
-    for s in range(0, len(rngs), k):
-        totals += _expansion_block(g, rngs[s:s + k])
+    rngs = iter(rngs)
+    while block := list(islice(rngs, k)):
+        totals += _expansion_block(g, block)
     return totals
 
 
@@ -152,8 +155,7 @@ def convexity(g: Graph, runs: int = 100, *, seed: int) -> ConvexityScore:
     else:
         # sum over runs of |S| after step t; run r draws from Stream([seed, r]),
         # convexa's PCG64 stream, which gives default_rng([seed, r])'s draws
-        rngs = [Stream([seed, r]) for r in range(runs)]
-        totals = _expansion_totals(g, rngs)
+        totals = _expansion_totals(g, (Stream([seed, r]) for r in range(runs)))
     excess = 0  # integer numerator of sum of max(s(t)-s(t-1)-1/n, 0)
     for t in range(1, n):
         d = int(totals[t] - totals[t - 1]) - runs

@@ -254,8 +254,8 @@ def correlation_matrix(rows: dict, cols: dict):
     of `rows` with each measure of `cols`, two Measure -> {node: value}
     maps as `centrality_values` returns them, for the full graph and a
     backbone over its node universe.  InputError unless the two maps cover
-    one node set.  A pair whose row or column measure is constant is
-    (None, None).
+    one node set, and for a value that is not finite.  A pair whose row or
+    column measure is constant is (None, None).
     """
     keys = sorted(rows[MEASURES[0]])
     universe = set(keys)
@@ -265,6 +265,8 @@ def correlation_matrix(rows: dict, cols: dict):
     # each of the 8 vectors is aligned and ranked once for the whole grid
     def ranked(vecs, m):
         a = np.array([vecs[m][k] for k in keys], float)
+        if not np.isfinite(a).all():
+            raise InputError("rank correlation of a value that is not finite")
         return a, average_ranks(a), _distinct(a)
 
     col_ranks = [ranked(cols, cm) for cm in MEASURES]

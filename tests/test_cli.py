@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,6 +18,9 @@ def run(*args, env=None, cwd=None):
     e = dict(os.environ)
     if env:
         e.update(env)
+    if cwd is not None and e.get("PYTHONPATH"):
+        # a relative entry, as in PYTHONPATH=src, names its directory from here
+        e["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, e["PYTHONPATH"].split(os.pathsep)))
     return subprocess.run(
         CLI + list(args), capture_output=True, text=True, env=e, cwd=cwd
     )
@@ -410,7 +414,8 @@ def test_skeleton_log_naming_another_output_is_refused(workdir, case):
     r = run("skeleton", "--input", str(workdir / "toc.tsv"),
             "--output", str(out), "--removal-log", log[case])
     _refused(workdir, r, out)
-    assert r.stderr.endswith("names --output or its sidecar\n")
+    first = f"{out}.meta.json" if case == "sidecar" else str(out)
+    assert r.stderr == f"error: output {log[case]} would replace output {first}\n"
 
 
 def test_convergence_failure_exits_4(workdir, monkeypatch, capsys):
@@ -980,6 +985,16 @@ def test_attribute_id_listed_twice_names_its_line(workdir, role, data):
     assert r.stderr == f"error: {bad}:{line}: {key} is listed twice\n"
 
 
+def test_papers_pair_listed_twice_names_its_line(workdir):
+    # the row, not only the paper: build_coauthorship sees no lines
+    bad = workdir / "twice_papers.csv"
+    bad.write_text("paper_id,author_id\np1,a\np1,b\np2,a\np1,a\n")
+    out = workdir / "twice_papers.out"
+    r = run("buildnet", "--papers", str(bad), "--output", str(out))
+    _refused(workdir, r, out)
+    assert r.stderr == f"error: {bad}:5: paper 'p1' lists author 'a' twice\n"
+
+
 @pytest.mark.parametrize("weight", ["0", "-1", "nan", "inf"])
 def test_edge_weight_that_is_not_positive_and_finite_names_its_line(workdir, weight):
     bad = workdir / f"weight_{weight}.tsv"
@@ -1004,3 +1019,191 @@ def test_flags_that_would_be_ignored_are_refused(workdir, argv):
     r = run(argv[0], flag, str(workdir / src), *argv[1:], str(out))
     assert r.returncode == 2 and "unrecognized arguments" in r.stderr
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# every file a run writes, and the files it may not write over
+
+#: small fixed inputs, written into each run's own directory: a graph that
+#: is no tree of cliques, so its convexity runs the Monte Carlo and its
+#: skeleton removes edges, with its papers and its authors
+_FILES = {
+    "g.tsv": "a\tb\t2\nb\tc\nc\ta\nc\td\nd\te\ne\tf\nf\tc\nd\tf\t0.5\nf\tg\ng\th\nh\ta\n",
+    "papers.csv": "paper_id,author_id\np1,a\np1,b\np1,c\np2,a\np2,b\np3,c\np3,d\np4,d\n",
+    "paper_meta.csv": "paper_id,year\np1,2001\np2,1998\np3,2010\np4,2005\n",
+    "authors.csv": "author_id,birth_year,gender\na,1960,F\nb,1980,F\nc,1975,M\nd,1990,M\n"
+                   "e,1985,F\nf,1970,M\ng,1965,F\nh,1995,M\n",
+}
+
+
+def _tree_bytes(root):
+    """{path relative to root: bytes, or the target of a symlink}."""
+    tree = {}
+    for p in Path(root).rglob("*"):
+        if p.is_symlink():
+            tree[str(p.relative_to(root))] = os.readlink(p)
+        elif p.is_file():
+            tree[str(p.relative_to(root))] = p.read_bytes()
+    return tree
+
+
+#: every subcommand on the inputs of `_FILES`, with relative paths, since a
+#: sidecar records the path arguments
+_PINNED_RUNS = {
+    "convexity": ["convexity", "--input", "g.tsv", "--runs", "7", "--seed", "3",
+                  "--output", "conv.csv"],
+    "skeleton": ["skeleton", "--input", "g.tsv", "--tie-break", "random", "--seed", "2",
+                 "--output", "sk.tsv", "--removal-log", "log.csv"],
+    "backbone": ["backbone", "--input", "g.tsv", "--kind", "betweenness", "--format", "json",
+                 "--output", "bb.json"],
+    "compare": ["compare", "--input", "g.tsv", "--runs", "5", "--seed", "4",
+                "--output-dir", "cmp"],
+    "centrality": ["centrality", "--input", "g.tsv", "--output", "cent.csv"],
+    "rank": ["rank", "--input", "g.tsv", "--measure", "pagerank", "--top", "5",
+             "--format", "json", "--output", "rank.json"],
+    "buildnet": ["buildnet", "--papers", "papers.csv", "--paper-meta", "paper_meta.csv",
+                 "--year-min", "2000", "--scheme", "full", "--output", "net.tsv"],
+    "distributions": ["distributions", "--input", "g.tsv", "--authors", "authors.csv",
+                      "--expr", "ABS_DIFF(birth_year)", "--bin-width", "10",
+                      "--output", "dist.csv"],
+    "generate": ["generate", "--kind", "er_random", "--n", "12", "--p", "0.3", "--seed", "5",
+                 "--output", "gen.tsv"],
+    "stats": ["stats", "--input", "g.tsv", "--runs", "5", "--seed", "6", "--output", "st.csv"],
+}
+
+#: sha256 of every file each run of `_PINNED_RUNS` writes
+_PINNED = {
+    "convexity": {
+        "conv.csv": "094b0670b79a5e5dfeb3b1108765bf64ff341ba46b1edda99766d1bb5235a816",
+        "conv.csv.meta.json": "3f103bc4e29c5207b04c9ba57f3b332e02cb2b71be776b85aad12125a6209b75",
+    },
+    "skeleton": {
+        "log.csv": "197a085558821390e0c6d4ef9bf5c0eb164a7dd512ef23c04b8748bd617ed070",
+        "sk.tsv": "a6e59ec6ba4244222670cdb685e9c0b8ab1d66365ce134f065b4d9acccbea66b",
+        "sk.tsv.meta.json": "78afb3fe0104ff1ecd4451eaec61d42d5a8f98270d7cee37d862f3f377a3b013",
+    },
+    "backbone": {
+        "bb.json": "08c7e1a08dfca4b385b01541abe7e00990edc2c8c8e0c79d42c1734729c401a1",
+        "bb.json.meta.json": "728a41deea50407653589733e58bf20b42de4bee1f0897350fdbbd9c3ca5c77e",
+    },
+    "compare": {
+        "cmp/corr_betweenness.csv": "330506aaf249347c3890c6b16c4b231571fdfc8e3de90f35fe907e734e879285",
+        "cmp/corr_betweenness.csv.meta.json": "343b008fe435f9072ae9085449e90afad5616eeff456fde86ea9c1cfd60befa4",
+        "cmp/corr_embeddedness.csv": "a105f39c694a5a26728fd5304be8d1867e92f8532881fda4a65c6dc6c1880557",
+        "cmp/corr_embeddedness.csv.meta.json": "343b008fe435f9072ae9085449e90afad5616eeff456fde86ea9c1cfd60befa4",
+        "cmp/corr_mst.csv": "4f783c7721738553f2dee582d4e5cce572d985d90108a762992aacc903d9c096",
+        "cmp/corr_mst.csv.meta.json": "343b008fe435f9072ae9085449e90afad5616eeff456fde86ea9c1cfd60befa4",
+        "cmp/corr_skeleton.csv": "56c47a419f41c6e5e45b248ceae466b953e1fa0aba0b159948de7c6bc8710b86",
+        "cmp/corr_skeleton.csv.meta.json": "343b008fe435f9072ae9085449e90afad5616eeff456fde86ea9c1cfd60befa4",
+        "cmp/stats.csv": "bfc70e3dd32c68c40242db3225396a1d75f4f17358e2643cae362823f09e50ef",
+        "cmp/stats.csv.meta.json": "343b008fe435f9072ae9085449e90afad5616eeff456fde86ea9c1cfd60befa4",
+    },
+    "centrality": {
+        "cent.csv": "b9f422be93660622a4b27c77d66af508219ca7bfb5e4ec51cb170c61b04bcf67",
+        "cent.csv.meta.json": "559e6813cc774f877a6e09fe523a3e8fc97feeef297501b5167dd73613a0c93a",
+    },
+    "rank": {
+        "rank.json": "9323df330825a18353b5f7234fb25891b81379c0e794fcbbedd7e8fea51523b4",
+        "rank.json.meta.json": "0f343f8a97ab80279c69a85368630294019c895113997712998a7d80399181c5",
+    },
+    "buildnet": {
+        "net.tsv": "bfc004409057ea0257d9aea79d8581ffc98f0c6d8f36d5e69a94f24b39e81641",
+        "net.tsv.meta.json": "1587ba1d0ea977ba516860745c13128ae089f19703081ce2d47c2d4fa6e563c4",
+    },
+    "distributions": {
+        "dist.csv": "f5d75793894bc2cb3abdda242e95a6b1980af151fb2ad9244c66240d06243afb",
+        "dist.csv.meta.json": "796015e0653920a404f0c08a422a6f9f750740b738595277a31d44e06c1f51c2",
+    },
+    "generate": {
+        "gen.tsv": "138c8dc0fd0c26eb7d94c56af3e338c1b07b3baa53b59d9c8cfc6d85a7164684",
+        "gen.tsv.meta.json": "6adf7f4a74823b83a23dca805dd82f165b342343e0b617d4748c6987c9f8fb29",
+    },
+    "stats": {
+        "st.csv": "311e4927c31829c20767a29c87af41a7536a71b5e19553ff427a29dd5594e8e3",
+        "st.csv.meta.json": "ff48f6a51dc8414ffff6a0c932736da96f650be92afc64276d8bf4dd1b8a78d8",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_every_written_file_keeps_its_bytes(tmp_path, name):
+    for fname, text in _FILES.items():
+        (tmp_path / fname).write_text(text)
+    r = run(*_PINNED_RUNS[name], cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    written = {
+        rel: hashlib.sha256(data).hexdigest()
+        for rel, data in _tree_bytes(tmp_path).items() if rel not in _FILES
+    }
+    assert written == _PINNED[name]
+
+
+@pytest.fixture(scope="module")
+def refusal_inputs(tmp_path_factory):
+    """`_FILES` plus a skeleton TSV of g.tsv, the graph again as
+    cmp/stats.csv and as x.csv.meta.json, and link.tsv, a symlink to g.tsv."""
+    d = tmp_path_factory.mktemp("refusal")
+    for fname, text in _FILES.items():
+        (d / fname).write_text(text)
+    r = run("skeleton", "--input", "g.tsv", "--output", "sk.tsv", cwd=d)
+    assert r.returncode == 0, r.stderr
+    (d / "sk.tsv.meta.json").unlink()
+    (d / "cmp").mkdir()
+    (d / "cmp" / "stats.csv").write_text(_FILES["g.tsv"])
+    (d / "x.csv.meta.json").write_text(_FILES["g.tsv"])
+    (d / "link.tsv").symlink_to("g.tsv")
+    return d
+
+
+_DIST = ["distributions", "--input", "g.tsv", "--authors", "authors.csv", "--expr", "SAME(gender)"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["convexity", "--input", "g.tsv", "--runs", "2", "--output", "g.tsv"],
+     "output g.tsv would replace --input g.tsv"),
+    (["stats", "--input", "g.tsv", "--runs", "2", "--output", "g.tsv"],
+     "output g.tsv would replace --input g.tsv"),
+    (["centrality", "--input", "g.tsv", "--output", "g.tsv"],
+     "output g.tsv would replace --input g.tsv"),
+    (["rank", "--input", "g.tsv", "--measure", "degree", "--output", "g.tsv"],
+     "output g.tsv would replace --input g.tsv"),
+    (["skeleton", "--input", "g.tsv", "--output", "g.tsv"],
+     "output g.tsv would replace --input g.tsv"),
+    (["skeleton", "--input", "g.tsv", "--output", "new.tsv", "--removal-log", "g.tsv"],
+     "output g.tsv would replace --input g.tsv"),
+    (["backbone", "--input", "g.tsv", "--kind", "mst", "--output", "g.tsv"],
+     "output g.tsv would replace --input g.tsv"),
+    ([*_DIST, "--output", "g.tsv"], "output g.tsv would replace --input g.tsv"),
+    ([*_DIST, "--output", "authors.csv"], "output authors.csv would replace --authors authors.csv"),
+    ([*_DIST, "--skeleton", "sk.tsv", "--output", "sk.tsv"],
+     "output sk.tsv would replace --skeleton sk.tsv"),
+    (["buildnet", "--papers", "papers.csv", "--output", "papers.csv"],
+     "output papers.csv would replace --papers papers.csv"),
+    (["buildnet", "--papers", "papers.csv", "--paper-meta", "paper_meta.csv",
+      "--output", "paper_meta.csv"],
+     "output paper_meta.csv would replace --paper-meta paper_meta.csv"),
+    (["compare", "--input", "cmp/stats.csv", "--runs", "2", "--output-dir", "cmp"],
+     "output cmp/stats.csv would replace --input cmp/stats.csv"),
+    (["stats", "--input", "g.tsv", "--runs", "2", "--output", "./g.tsv"],
+     "output ./g.tsv would replace --input g.tsv"),
+    (["stats", "--input", "link.tsv", "--runs", "2", "--output", "g.tsv"],
+     "output g.tsv would replace --input link.tsv"),
+    (["stats", "--input", "x.csv.meta.json", "--runs", "2", "--output", "x.csv"],
+     "output x.csv.meta.json would replace --input x.csv.meta.json"),
+], ids=["convexity", "stats", "centrality", "rank", "skeleton", "skeleton-log", "backbone",
+        "distributions", "distributions-authors", "distributions-skeleton", "buildnet-papers",
+        "buildnet-paper-meta", "compare", "dot", "symlink", "sidecar"])
+def test_an_output_naming_an_input_is_refused(refusal_inputs, tmp_path, argv, message):
+    # each case runs in its own copy of the inputs: exit 3 with one error
+    # line that names both paths, no file written and no byte changed
+    before = _tree_bytes(refusal_inputs)
+    for rel, data in before.items():
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        if isinstance(data, str):
+            (tmp_path / rel).symlink_to(data)
+        else:
+            (tmp_path / rel).write_bytes(data)
+    r = run(*argv, cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr == f"error: {message}\n"
+    assert _tree_bytes(tmp_path) == before

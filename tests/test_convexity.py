@@ -350,6 +350,35 @@ def test_lockstep_runs_match_loop_reference(g, runs, seed, per_block):
     assert one == expansion_run_loop(g, np.random.default_rng([seed, 0]))
 
 
+def test_convexity_holds_one_block_of_streams_at_a_time():
+    # with 2 runs per block, the streams of 7 runs exist 2 at a time: a
+    # block's generators are made when it starts and freed when it ends
+    g = build_graph(C4 + [("d", "e"), ("e", "f"), ("f", "a")])
+    ref = convexity(g, runs=7, seed=3)
+    live = [0]
+    starts = []
+
+    class Counted(convexity_module.Stream):
+        def __init__(self, entropy):
+            super().__init__(entropy)
+            live[0] += 1
+
+        def __del__(self):
+            live[0] -= 1
+
+    def block(g, rngs):
+        starts.append(live[0])
+        return expansion_block(g, rngs)
+
+    expansion_block = convexity_module._expansion_block
+    with mock.patch.object(convexity_module, "Stream", Counted), \
+            mock.patch.object(convexity_module, "_expansion_block", block), \
+            mock.patch.object(convexity_module, "RUN_BLOCK_ELEMENTS", 2 * (g.n + g.m)):
+        score = convexity(g, runs=7, seed=3)
+    assert starts == [2, 2, 2, 1]
+    assert score.profile.tobytes() == ref.profile.tobytes() and score.x == ref.x
+
+
 @settings(max_examples=200, deadline=None)
 @given(expansion_graphs(), st.data())
 def test_push_test_passes_iff_closure_adds_only_the_pushed_node(g, data):

@@ -256,6 +256,17 @@ def test_correlation_matrix_refuses_mismatched_node_sets():
         correlation_matrix(centrality_values(h), centrality_values(g))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("side", ["rows", "cols"])
+def test_correlation_matrix_refuses_a_value_that_is_not_finite(side, value):
+    # as spearman_rho and kendall_tau do: a NaN would be ranked as a number
+    g = random_graph(np.random.default_rng(12), 8, 0.4, connected=True)
+    maps = {"rows": centrality_values(g), "cols": centrality_values(g)}
+    maps[side][MEASURES[2]] = {**maps[side][MEASURES[2]], g.ids[0]: value}
+    with pytest.raises(InputError, match="^rank correlation of a value that is not finite$"):
+        correlation_matrix(maps["rows"], maps["cols"])
+
+
 def test_largest_component_matches_the_loop_bit_for_bit():
     for g in random_corpus(np.random.default_rng(72), 60):
         sub, frac = largest_component_graph(g)

@@ -479,12 +479,10 @@ def cmd_generate(args):
     kind = Kind(args.kind)
     seed = _resolve_seed(args, used=kind in RANDOM_KINDS)
     params = {}
-    for key in ("n", "cliques", "smin", "smax", "rows", "cols"):
+    for key in ("n", "p", "cliques", "smin", "smax", "rows", "cols"):
         val = getattr(args, key)
         if val is not None:
             params[key] = val
-    if args.p is not None:
-        params["p"] = args.p
     g = synth.generate(kind, params, 0 if seed is None else seed)
     buf = io.StringIO()
     write_edge_tsv(g, buf)

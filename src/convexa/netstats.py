@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -107,6 +107,9 @@ def mean_distance(g: Graph) -> float:
 
 
 def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int) -> StatsRecord:
+    # refused for every graph, also one whose LCC needs no Monte Carlo
+    if convexity_runs < 1:
+        raise ConvexaError("runs must be positive")
     # convexity runs on the LCC; mean distance reads g's own Brandes pass,
     # which `compare` shares with the correlation grid
     lcc, frac = largest_component_graph(g)
@@ -130,8 +133,38 @@ def descriptive_stats(g: Graph, convexity_runs: int = 100, *, seed: int) -> Stat
     )
 
 
+class _Ranks(NamedTuple):
+    """One vector's ranks, from one stable sort."""
+    average: np.ndarray  # 1-based, each tie group given the mean of its ranks
+    dense: np.ndarray  # int64 from 0, equal values equal
+    distinct: int  # number of distinct values
+    tied: int  # pairs of equal values, sum of C(t, 2) over tie groups
+
+
+def _ranked(a: np.ndarray) -> _Ranks:
+    """The ranks of `a`; refuses a value that is not finite."""
+    if not np.isfinite(a).all():
+        raise InputError("rank correlation of a value that is not finite")
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    new = np.ones(a.size, bool)
+    new[1:] = sorted_a[1:] != sorted_a[:-1]
+    starts = np.flatnonzero(new)
+    t = np.diff(np.r_[starts, a.size])
+    average = np.empty(a.size)
+    average[order] = np.repeat((2 * starts + 1 + t) / 2.0, t)
+    dense = np.empty(a.size, np.int64)
+    dense[order] = np.cumsum(new) - 1
+    return _Ranks(average, dense, starts.size, int((t * (t - 1) // 2).sum()))
+
+
+def average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of `a`, each tie group given the mean of its ranks."""
+    return _ranked(a).average
+
+
 def _paired_arrays(x: dict, y: dict):
-    """x and y as float arrays in one sorted key order; refuses unequal key
+    """The ranks of x and y in one sorted key order; refuses unequal key
     sets, fewer than 2 keys, a value that is not finite and a constant
     vector."""
     if set(x) != set(y):
@@ -139,32 +172,11 @@ def _paired_arrays(x: dict, y: dict):
     if len(x) < 2:
         raise ConvexaError("need at least 2 keys for rank correlation")
     keys = sorted(x)
-    a = np.array([x[k] for k in keys], float)
-    b = np.array([y[k] for k in keys], float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InputError("rank correlation of a value that is not finite")
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
+    a = _ranked(np.array([x[k] for k in keys], float))
+    b = _ranked(np.array([y[k] for k in keys], float))
+    if a.distinct < 2 or b.distinct < 2:
         raise ConvexaError("rank correlation undefined: zero rank variance")
     return a, b
-
-
-def average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based ranks of `a`, each tie group given the mean of its ranks."""
-    order = np.argsort(a, kind="stable")
-    sorted_a = a[order]
-    starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
-    ends = np.r_[starts[1:], a.size]
-    group = np.repeat(np.arange(starts.size), ends - starts)
-    ranks = np.empty(a.size)
-    ranks[order] = ((starts + 1 + ends) / 2.0)[group]
-    return ranks
-
-
-def _distinct(a: np.ndarray) -> int:
-    """Number of distinct values in `a`, counted on a sorted copy (a bare
-    `np.unique` would import numpy.ma for its masked-array check)."""
-    s = np.sort(a)
-    return int(np.count_nonzero(s[1:] != s[:-1])) + (s.size > 0)
 
 
 def spearman_rho(x: dict, y: dict) -> float:
@@ -173,49 +185,36 @@ def spearman_rho(x: dict, y: dict) -> float:
     Without ties the classical 1 - 6*sum(d^2)/(n(n^2-1)) form is used with
     integer arithmetic, so perfect agreement/reversal score exactly +/-1.
     """
-    a, b = _paired_arrays(x, y)
-    distinct = _distinct(a) == a.size and _distinct(b) == b.size
-    return _rho(average_ranks(a), average_ranks(b), distinct)
+    return _rho(*_paired_arrays(x, y))
 
 
-def _rho(ra, rb, distinct):
-    n = ra.size
-    if distinct:
-        d2 = int(((ra - rb).astype(np.int64) ** 2).sum())
+def _rho(a: _Ranks, b: _Ranks) -> float:
+    n = a.dense.size
+    if a.tied == 0 and b.tied == 0:
+        # without ties the dense ranks are the average ranks less one
+        d2 = int(((a.dense - b.dense) ** 2).sum())
         return 1.0 - 6.0 * d2 / (n * (n * n - 1))
-    return float(np.corrcoef(ra, rb)[0, 1])
-
-
-def _tied_pairs(starts):
-    """Pairs inside the runs of a sorted sequence, sum of C(t, 2) over run
-    lengths t; `starts` is True where a run begins."""
-    t = np.diff(np.flatnonzero(np.r_[starts, True]))
-    return int((t * (t - 1) // 2).sum())
+    return float(np.corrcoef(a.average, b.average)[0, 1])
 
 
 def kendall_tau(x: dict, y: dict) -> float:
     """Tau-b (tie-corrected), by exact integer counts in O(n log^2 n) time
     and O(n log n) memory (Knight, JASA 1966).  Sorted by (a, b), the
-    discordant pairs are the strict inversions of b, counted on b's dense
-    ranks; pairs tied in a, in b and in both come from run lengths."""
+    discordant pairs are the strict inversions of b's dense ranks; pairs
+    tied in a and in b are counted when each vector is ranked, and pairs
+    tied in both from the run lengths of that order."""
     return _tau(*_paired_arrays(x, y))
 
 
-def _tau(a, b):
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    new_a = np.r_[True, a[1:] != a[:-1]]
-    n1 = _tied_pairs(new_a)
-    n3 = _tied_pairs(new_a | np.r_[True, b[1:] != b[:-1]])
-    by_b = np.argsort(b, kind="stable")
-    sorted_b = b[by_b]
-    new_b = np.r_[True, sorted_b[1:] != sorted_b[:-1]]
-    n2 = _tied_pairs(new_b)
-    rank = np.empty(b.size, np.int64)
-    rank[by_b] = np.cumsum(new_b) - 1
-    discordant = _inversions(rank)
-    n0 = len(a) * (len(a) - 1) // 2
-    return (n0 - n1 - n2 + n3 - 2 * discordant) / math.sqrt((n0 - n1) * (n0 - n2))
+def _tau(a: _Ranks, b: _Ranks) -> float:
+    order = np.lexsort((b.dense, a.dense))
+    da, db = a.dense[order], b.dense[order]
+    # run lengths of the (a, b) pairs, which the sort puts next to each other
+    t = np.diff(np.flatnonzero(np.r_[True, (da[1:] != da[:-1]) | (db[1:] != db[:-1]), True]))
+    n3 = int((t * (t - 1) // 2).sum())
+    n0 = da.size * (da.size - 1) // 2
+    n1, n2 = a.tied, b.tied
+    return (n0 - n1 - n2 + n3 - 2 * _inversions(db)) / math.sqrt((n0 - n1) * (n0 - n2))
 
 
 def _inversions(rank):
@@ -263,23 +262,13 @@ def correlation_matrix(rows: dict, cols: dict):
         raise InputError("row and column centralities must cover one node set")
 
     # each of the 8 vectors is aligned and ranked once for the whole grid
-    def ranked(vecs, m):
-        a = np.array([vecs[m][k] for k in keys], float)
-        if not np.isfinite(a).all():
-            raise InputError("rank correlation of a value that is not finite")
-        return a, average_ranks(a), _distinct(a)
-
-    col_ranks = [ranked(cols, cm) for cm in MEASURES]
-    grid = []
-    for rm in MEASURES:
-        a, ra, da = ranked(rows, rm)
-        row = []
-        for b, rb, db in col_ranks:
-            if da < 2 or db < 2:
-                # zero rank variance: neither correlation is defined
-                row.append((None, None))
-            else:
-                rho = _rho(ra, rb, da == len(keys) and db == len(keys))
-                row.append((rho, _tau(a, b)))
-        grid.append(row)
-    return grid
+    row_ranks, col_ranks = (
+        [_ranked(np.array([vecs[m][k] for k in keys], float)) for m in MEASURES]
+        for vecs in (rows, cols)
+    )
+    # a constant vector has zero rank variance: neither correlation is defined
+    return [
+        [(_rho(a, b), _tau(a, b)) if a.distinct > 1 and b.distinct > 1 else (None, None)
+         for b in col_ranks]
+        for a in row_ranks
+    ]

@@ -661,6 +661,20 @@ def kendall_tau_pairs(a, b):
     return (concordant - discordant) / math.sqrt((n0 - tied_a) * (n0 - tied_b))
 
 
+
+def ranks_pairwise(a):
+    """(average ranks, dense ranks from 0, distinct values, tied pairs) of
+    the values `a`, each found by comparing every pair of values: the
+    reference for the one sort in `netstats._ranked`."""
+    a = [float(v) for v in a]
+    n = len(a)
+    # a value is a tie group's first when no earlier value equals it
+    first = [all(a[j] != a[i] for j in range(i)) for i in range(n)]
+    average = [sum(v < u for v in a) + (sum(v == u for v in a) + 1) / 2 for u in a]
+    dense = [sum(f and v < u for v, f in zip(a, first)) for u in a]
+    tied = sum(a[i] == a[j] for i in range(n) for j in range(i + 1, n))
+    return average, dense, sum(first), tied
+
 # ---------------------------------------------------------------------------
 # per-node and per-edge views of the library's results, for the tests that
 # read them by id

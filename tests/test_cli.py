@@ -1207,3 +1207,17 @@ def test_an_output_naming_an_input_is_refused(refusal_inputs, tmp_path, argv, me
     assert r.returncode == 3, r.stderr
     assert r.stderr == f"error: {message}\n"
     assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--input", "empty.tsv", "--runs", "-5", "--output", "st.csv"],
+    ["compare", "--input", "empty.tsv", "--backbones", "mst", "--runs", "-5",
+     "--output-dir", "cmp"],
+], ids=["stats", "compare"])
+def test_runs_below_one_are_refused_on_an_edgeless_graph(tmp_path, argv):
+    # an empty edge list needs no Monte Carlo, yet its --runs is still checked
+    (tmp_path / "empty.tsv").write_text("")
+    r = run(*argv, cwd=tmp_path)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr == "error: runs must be positive\n"
+    assert _tree_bytes(tmp_path) == {"empty.tsv": b""}

@@ -20,7 +20,7 @@ from convexa import (
     maximum_spanning_tree,
     spearman_rho,
 )
-from convexa import _kernels
+from convexa import _kernels, netstats
 from convexa.netstats import (
     MEASURES,
     average_ranks,
@@ -34,6 +34,7 @@ from oracles import (
     mean_distance_triu,
     random_corpus,
     random_graph,
+    ranks_pairwise,
 )
 
 C4 = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
@@ -124,6 +125,15 @@ def test_common_neighbours_counted_once_per_graph():
     assert cn.call_count == 1
 
 
+@pytest.mark.parametrize("runs", [0, -5])
+@pytest.mark.parametrize("edges, isolated", [([], ""), ([], "ab"), (C4, "")],
+                         ids=["empty", "edgeless", "c4"])
+def test_descriptive_stats_refuses_runs_below_one(edges, isolated, runs):
+    # also where the largest component is too small for any Monte Carlo
+    with pytest.raises(ConvexaError, match="^runs must be positive$"):
+        descriptive_stats(build_graph(edges, isolated_nodes=isolated), convexity_runs=runs, seed=1)
+
+
 def test_stats_on_disconnected_uses_lcc():
     g = build_graph(C4 + [("x", "y")])
     s = descriptive_stats(g, convexity_runs=20, seed=1)
@@ -149,6 +159,17 @@ def test_average_ranks_match_scipy():
         a = rng.integers(0, int(rng.integers(1, 12)), size=size) * 0.5
         assert np.array_equal(average_ranks(a), stats.rankdata(a))
     assert average_ranks(np.array([2.0, 1.0, 2.0, 3.0])).tolist() == [2.5, 1.0, 2.5, 4.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 3.0]), max_size=60))
+def test_ranks_match_the_pairwise_count(values):
+    # few distinct values, so most draws tie heavily; no scipy needed
+    average, dense, distinct, tied = ranks_pairwise(values)
+    r = netstats._ranked(np.array(values, float))
+    assert r.average.tolist() == average
+    assert r.dense.dtype == np.int64 and r.dense.tolist() == dense
+    assert (r.distinct, r.tied) == (distinct, tied)
 
 
 def test_kendall_fixtures():
@@ -243,6 +264,19 @@ def test_correlation_matrix_cells_match_the_pairwise_functions():
                 else:
                     assert rho == spearman_rho(x, y)
                     assert tau == kendall_tau(x, y)
+
+
+def test_each_vector_is_ranked_once():
+    # a grid ranks its 8 vectors once each, and a pairwise function its 2
+    g = random_graph(np.random.default_rng(13), 12, 0.35, connected=True, weighted=True)
+    rows = centrality_values(g)
+    cols = centrality_values(g.subgraph_with_edges(maximum_spanning_tree(g)))
+    x, y = rows[MEASURES[2]], cols[MEASURES[2]]
+    for call, count in ((lambda: correlation_matrix(rows, cols), 8),
+                        (lambda: spearman_rho(x, y), 2), (lambda: kendall_tau(x, y), 2)):
+        with mock.patch.object(netstats, "_ranked", wraps=netstats._ranked) as ranked:
+            call()
+        assert ranked.call_count == count
 
 
 def test_correlation_matrix_refuses_mismatched_node_sets():

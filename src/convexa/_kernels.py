@@ -88,7 +88,9 @@ def common_neighbors(indptr, indices, eu, ev):
     Every arc (x, w) of the lower-degree endpoint x of a pair (x, y) is
     looked up as the key y*n + w among the CSR's arc keys head*n + tail,
     which are sorted because `indices` is sorted per node.  Work is
-    O(sum of min degrees * log m).
+    O(sum of min degrees * log m).  The pairs go in runs whose lower
+    degrees sum to at most the CSR's 2m arcs (or one pair), so memory is
+    O(n + m), not that sum, which is O(n^3) on a clique.
     """
     n = indptr.size - 1
     deg = np.diff(indptr)
@@ -97,12 +99,19 @@ def common_neighbors(indptr, indices, eu, ev):
     swap = deg[eu] > deg[ev]
     x = np.where(swap, ev, eu)
     y = np.where(swap, eu, ev)
-    pos, owner = _arcs(indptr, x)
     keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + indices
-    query = y[owner] * n + indices[pos]
-    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-    counts = np.bincount(owner[keys[at] == query], minlength=eu.size)
-    return counts.astype(np.int64, copy=False)
+    upto = np.cumsum(deg[x])  # lower-degree arcs of the pairs up to each one
+    counts = np.zeros(eu.size, np.int64)
+    start = 0
+    while start < eu.size:
+        before = upto[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(upto, before + keys.size, "right")))
+        pos, owner = _arcs(indptr, x[start:stop])
+        query = y[start:stop][owner] * n + indices[pos]
+        at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        counts[start:stop] = np.bincount(owner[keys[at] == query], minlength=stop - start)
+        start = stop
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -62,20 +62,22 @@ class _LiveGraph:
         self.cn = g.common_neighbors.copy()
         self.w_loss = None
         if objective is Objective.AVERAGE_LOCAL:
-            inv = _inv_pairs(self.deg).tolist()
-            self.w_loss = np.array([self._weight_sum(e, inv) for e in range(m)], float)
+            self.w_loss = np.array([self._weight_sum(e) for e in range(m)], float)
         self.block = np.zeros(m, dtype=np.int64)
         self.bridge = np.zeros(m, dtype=bool)
         self.nonclique = set()
         self._next_label = 0
         self._label_blocks(np.arange(m), n, g.edge_idx, g.block_label)
 
-    def _weight_sum(self, e, inv):
-        # summed in ascending w, the order of a merge over sorted CSR rows
+    def _weight_sum(self, e):
+        # summed in ascending w, the order of a merge over sorted CSR rows;
+        # 1 / C(d, 2) by the float operations of _inv_pairs, and d >= 2
+        # for a common neighbour
         a, b = self.nbr[self.eu[e]], self.nbr[self.ev[e]]
         acc = 0.0
         for w in sorted(a.keys() & b.keys()):
-            acc += inv[w]
+            d = len(self.nbr[w])
+            acc += 1.0 / (d * (d - 1) / 2.0)
         return acc
 
     def _decompose(self, label):
@@ -153,9 +155,8 @@ class _LiveGraph:
                 for a in x:
                     na = self.nbr[a]
                     stale.update(na[b] for b in na.keys() & x.keys() if a < b)
-            inv = _inv_pairs(self.deg).tolist()
             for f in stale:
-                self.w_loss[f] = self._weight_sum(f, inv)
+                self.w_loss[f] = self._weight_sum(f)
         label = int(self.block[e])
         if self._still_biconnected(u, v, label):
             # same nodes, one edge fewer: not a clique

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ._rng import Stream
 from .errors import ConvexaError
 from .graph import Graph, build_graph
 from .kinds import RANDOM_KINDS, Kind
@@ -110,7 +111,7 @@ def _tree_of_cliques(cliques, smin, smax, seed):
     existing, uniformly chosen clique."""
     if cliques < 1 or smin < 2 or smax < smin:
         raise ConvexaError("need cliques >= 1 and 2 <= smin <= smax")
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     clique_nodes = []  # node index lists per clique
     edges = []
     next_node = 0
@@ -122,12 +123,12 @@ def _tree_of_cliques(cliques, smin, smax, seed):
         return out
 
     for c in range(cliques):
-        size = int(rng.integers(smin, smax + 1))
+        size = rng.integers(smin, smax + 1)
         if c == 0:
             members = fresh(size)
         else:
-            host = clique_nodes[int(rng.integers(len(clique_nodes)))]
-            shared = host[int(rng.integers(len(host)))]
+            host = clique_nodes[rng.integers(len(clique_nodes))]
+            shared = host[rng.integers(len(host))]
             members = [shared] + fresh(size - 1)
         clique_nodes.append(members)
         for i in range(len(members)):

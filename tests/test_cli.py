@@ -14,7 +14,7 @@ import pytest
 CLI = [sys.executable, "-m", "convexa"]
 
 
-def run(*args, env=None, cwd=None):
+def run(*args, env=None, cwd=None, timeout=None):
     e = dict(os.environ)
     if env:
         e.update(env)
@@ -22,7 +22,7 @@ def run(*args, env=None, cwd=None):
         # a relative entry, as in PYTHONPATH=src, names its directory from here
         e["PYTHONPATH"] = os.pathsep.join(map(os.path.abspath, e["PYTHONPATH"].split(os.pathsep)))
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=e, cwd=cwd
+        CLI + list(args), capture_output=True, text=True, env=e, cwd=cwd, timeout=timeout
     )
 
 
@@ -233,27 +233,98 @@ def _clustered_text(seed, n, m, smin=4, smax=6):
     return "".join(f"v{u:04d}\tv{v:04d}\t{w}\n" for (u, v), w in edges.items())
 
 
-#: sha256 of the `skeleton --removal-log` CSV of `_clustered_text(7, 502,
-#: 2500)` per objective and tie-break (random with --seed 5): a rewrite of
-#: the skeleton loop must keep these bytes
+#: (n, m, --seed of the random tie-break) of `_clustered_text(7, n, m)` at
+#: the criterion-8 size and at the paper's
+_SIZES = {"c8": (502, 2500, 5), "n2000": (2000, 10000, 1)}
+
+
+@pytest.fixture(scope="module")
+def clustered(tmp_path_factory):
+    """{size: the path of its `_clustered_text`}, each written once."""
+    d = tmp_path_factory.mktemp("clustered")
+    for size, (n, m, _) in _SIZES.items():
+        (d / f"{size}.tsv").write_text(_clustered_text(7, n, m))
+    return {size: d / f"{size}.tsv" for size in _SIZES}
+
+
+#: test id -> (input size, timeout in s, sha256 of the `skeleton
+#: --removal-log` CSV for the id's objective and tie-break): a rewrite of the
+#: skeleton loop keeps these bytes.  At n2000 the loop re-decomposes a block
+#: only when a two-path test cannot show that it stays biconnected: 3-6 s on
+#: a 2-vCPU VM, where re-decomposing it on every one of the 6022 removals
+#: took 98 s, so a fall back shows as a timeout
 REMOVAL_LOG_SHA256 = {
-    ("average_local", "lex"): "08600ea551e7d67ef38de100ce5c5f26d8ed75192b1c8313729085d8334c00bf",
-    ("average_local", "random"): "69c77008b2edb887558c4e43e668a6e6935d1bc61c344ab8123e27d1967c2804",
-    ("transitivity", "lex"): "43ffa610e2d1c72772ca00d7dddba68a47c918dd5807a2eea3675df06aef3213",
-    ("transitivity", "random"): "60b03d0cb5ab004d49b6a53286ac0ce36eb98bd4f8a74f28eefd47a2046925e1",
+    "average_local-lex": ("c8", None, "08600ea551e7d67ef38de100ce5c5f26d8ed75192b1c8313729085d8334c00bf"),
+    "average_local-random": ("c8", None, "69c77008b2edb887558c4e43e668a6e6935d1bc61c344ab8123e27d1967c2804"),
+    "transitivity-lex": ("c8", None, "43ffa610e2d1c72772ca00d7dddba68a47c918dd5807a2eea3675df06aef3213"),
+    "transitivity-random": ("c8", None, "60b03d0cb5ab004d49b6a53286ac0ce36eb98bd4f8a74f28eefd47a2046925e1"),
+    "n2000-average_local-lex": ("n2000", 30, "ceadc09db40c41ec12cb0f3f8e4c43de757c2baf7b8267ce7494de04c859b76f"),
+    "n2000-average_local-random": ("n2000", 30, "ac8dc3cb9425e0a18e3b7b8400f8e327bd5498ee001a48d0d40c088434d2b61d"),
+    "n2000-transitivity-lex": ("n2000", 20, "2c6555a412a76df92a6a285c4788213b1ae48c18c92bf1f30a66f9e66a2dcb21"),
+    "n2000-transitivity-random": ("n2000", 20, "5286a052383f0669344b304b657b62e477413e4cc1da53a766ae4885ceaf768d"),
 }
 
 
-@pytest.mark.parametrize("objective, tie_break", sorted(REMOVAL_LOG_SHA256))
-def test_skeleton_removal_logs_are_pinned(tmp_path, objective, tie_break):
-    src = tmp_path / "clustered.tsv"
-    src.write_text(_clustered_text(7, 502, 2500))
+@pytest.mark.parametrize("case", list(REMOVAL_LOG_SHA256))
+def test_skeleton_removal_logs_are_pinned(clustered, tmp_path, case):
+    size, timeout, sha256 = REMOVAL_LOG_SHA256[case]
+    objective, tie_break = case.split("-")[-2:]
+    seed = ["--seed", str(_SIZES[size][2])] if tie_break == "random" else []
     log = tmp_path / "removed.csv"
-    seed = ["--seed", "5"] if tie_break == "random" else []
-    r = run("skeleton", "--input", str(src), "--objective", objective, "--tie-break", tie_break,
-            *seed, "--output", str(tmp_path / "sk.tsv"), "--removal-log", str(log))
+    r = run("skeleton", "--input", str(clustered[size]), "--objective", objective,
+            "--tie-break", tie_break, *seed, "--output", str(tmp_path / "sk.tsv"),
+            "--removal-log", str(log), timeout=timeout)
     assert r.returncode == 0, r.stderr
-    assert hashlib.sha256(log.read_bytes()).hexdigest() == REMOVAL_LOG_SHA256[objective, tie_break]
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == sha256
+
+
+#: sha256 of the stats table and the four Spearman/Kendall grids of
+#: `compare --runs 2 --seed 1` on the n2000 input
+PAPER_COMPARE_SHA256 = {
+    "stats.csv": "85a776c52554bdf5e08e9b7b8f2d63c563ea9ff07ce5276ec599577aefb550e0",
+    "corr_skeleton.csv": "0abd47fe944ecd48d4ebb19ac30c56958843436a37a278df81672a4970014459",
+    "corr_mst.csv": "2bfda5303d9e5862a9b3c4418386050aa35876d81f99c9f90fa13afa7b2a4ae4",
+    "corr_betweenness.csv": "3c565f7fbb0696b151a5b5f43264637cd455804f4f9eaf7453a1ab182beafce1",
+    "corr_embeddedness.csv": "d8407bf67372f1d6b3ad12df1cbfa8bb4265dfe81460de02863efc382b94d5ca",
+}
+
+
+def test_paper_scale_compare_keeps_its_bytes(clustered, tmp_path):
+    # about 5 s on a 2-vCPU VM, so a slow path in the grids or the stats
+    # shows as a timeout
+    out = tmp_path / "cmp"
+    r = run("compare", "--input", str(clustered["n2000"]), "--runs", "2", "--seed", "1",
+            "--output-dir", str(out), timeout=30)
+    assert r.returncode == 0, r.stderr
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PAPER_COMPARE_SHA256} == PAPER_COMPARE_SHA256
+
+
+def test_paper_scale_convexity_peak_rss_is_at_most_80_mb(clustered, tmp_path):
+    # the all-pairs BFS holds D, in its final int8/int16 type, and one n x n
+    # byte mask at a time, so convexity at n2000 stays far below what a dense
+    # float32 BFS needs.  A fresh parent reads the run's peak: pytest's own
+    # RUSAGE_CHILDREN is the maximum over every child it has waited for
+    probe = ("import resource, subprocess, sys\n"
+             "subprocess.run([sys.executable, '-m', 'convexa', *sys.argv[1:]], check=True)\n"
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)")
+    r = subprocess.run([sys.executable, "-c", probe, "convexity", "--input", str(clustered["n2000"]),
+                        "--runs", "2", "--seed", "1", "--output", str(tmp_path / "conv.csv")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert float(r.stdout.split()[-1]) <= 80
+
+
+def test_paper_scale_path_centrality_takes_the_closed_form(tmp_path):
+    # a path is a tree of cliques with a diameter of n - 1, which costs the
+    # Brandes pass one BFS layer per hop and source block (14 s at n=2000 on
+    # a 2-vCPU VM); its closed form off the block-cut tree takes well under
+    # a second, so a fall back to the pass shows as a timeout
+    path = tmp_path / "path.tsv"
+    assert run("generate", "--kind", "path", "--n", "3000", "--output", str(path)).returncode == 0
+    r = run("centrality", "--input", str(path), "--measure", "all",
+            "--output", str(tmp_path / "cent.csv"), timeout=10)
+    assert r.returncode == 0, r.stderr
 
 
 def _forbid_dense_distances(monkeypatch):
@@ -325,20 +396,20 @@ print(code, *[m for m in ("numpy.random", "numpy.ma") if m in sys.modules])
 
 
 @pytest.mark.parametrize("argv", [
-    ["convexity", "--runs", "5", "--output", "OUT.csv"],
-    ["compare", "--runs", "5", "--output-dir", "OUT"],
-    ["skeleton", "--tie-break", "random", "--output", "OUT.tsv"],
-    ["backbone", "--kind", "mst", "--tie-break", "random", "--output", "OUT.tsv"],
+    ["convexity", "--input", "C4", "--runs", "5", "--output", "OUT.csv"],
+    ["compare", "--input", "C4", "--runs", "5", "--output-dir", "OUT"],
+    ["skeleton", "--input", "C4", "--tie-break", "random", "--output", "OUT.tsv"],
+    ["backbone", "--input", "C4", "--kind", "mst", "--tie-break", "random", "--output", "OUT.tsv"],
+    ["generate", "--kind", "tree_of_cliques", "--cliques", "5", "--output", "OUT.tsv"],
 ], ids=lambda argv: argv[0])
 def test_random_runs_import_neither_numpy_random_nor_numpy_ma(workdir, argv):
-    # draws come from convexa's own stream; only generate uses numpy.random.
-    # A 4-cycle is no tree of cliques, so its convexity runs the Monte Carlo,
-    # and its four equal edges tie
+    # draws come from convexa's own stream; only generate's er_random kind
+    # uses numpy.random.  A 4-cycle is no tree of cliques, so its convexity
+    # runs the Monte Carlo, and its four equal edges tie
     out = str(workdir / f"probe_{argv[0]}")
-    argv = [a.replace("OUT", out) for a in argv]
+    argv = [str(workdir / "c4.tsv") if a == "C4" else a.replace("OUT", out) for a in argv]
     r = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, argv[0], "--input", str(workdir / "c4.tsv"),
-         "--seed", "3", *argv[1:]],
+        [sys.executable, "-c", _IMPORT_PROBE, *argv, "--seed", "3"],
         capture_output=True, text=True,
     )
     assert r.returncode == 0, r.stderr
@@ -1068,6 +1139,8 @@ _PINNED_RUNS = {
                       "--output", "dist.csv"],
     "generate": ["generate", "--kind", "er_random", "--n", "12", "--p", "0.3", "--seed", "5",
                  "--output", "gen.tsv"],
+    "generate-tree_of_cliques": ["generate", "--kind", "tree_of_cliques", "--cliques", "30",
+                                 "--seed", "7", "--output", "toc.tsv"],
     "stats": ["stats", "--input", "g.tsv", "--runs", "5", "--seed", "6", "--output", "st.csv"],
 }
 
@@ -1117,6 +1190,10 @@ _PINNED = {
     "generate": {
         "gen.tsv": "138c8dc0fd0c26eb7d94c56af3e338c1b07b3baa53b59d9c8cfc6d85a7164684",
         "gen.tsv.meta.json": "6adf7f4a74823b83a23dca805dd82f165b342343e0b617d4748c6987c9f8fb29",
+    },
+    "generate-tree_of_cliques": {
+        "toc.tsv": "dcab1cbf995f38345ccd5e6239924cc8984cf22e39b567873e14dfca5b3ccb6f",
+        "toc.tsv.meta.json": "dce24ded8fb9a82f08c8c1740d9dcaf6547f152377a3bc2e1b6c4fdeee5b2e4e",
     },
     "stats": {
         "st.csv": "311e4927c31829c20767a29c87af41a7536a71b5e19553ff427a29dd5594e8e3",

@@ -481,6 +481,23 @@ def test_common_neighbors_matches_sets():
             assert got[e] == len(adj[int(eu[e])] & adj[int(ev[e])])
 
 
+def test_common_neighbors_peak_memory_is_o_of_m_on_a_clique():
+    # the pairs' lower-degree arcs sum to m(n - 1) on K_n, which is O(n^3):
+    # held at once they take about 2.4 kB per CSR arc here, and the kernel
+    # takes them in runs of at most the 2m arcs
+    g = generate(Kind.COMPLETE, {"n": 120})
+    indptr, indices, _ = g.csr
+    eu, ev = g.edge_idx.T
+    tracemalloc.start()
+    try:
+        cn = _kernels.common_neighbors(indptr, indices, eu, ev)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cn == 118).all()
+    assert peak <= 128 * indices.size
+
+
 @st.composite
 def neighbourhood_graphs(draw):
     """Stars and hubs with the centre at any index, so the lower-degree
